@@ -11,7 +11,7 @@ Set ``REPRO_BENCH_QUICK=1`` for the shortened CI variant.
 
 from conftest import quick_mode
 
-from repro.bench.cryptobench import run_cryptobench, write_json
+from repro.bench.cryptobench import lane_speedups, run_cryptobench, write_json
 from repro.crypto.engine import get_engine
 
 
@@ -26,6 +26,25 @@ def bench_cryptobench_engines(benchmark, report_sink):
                if quick else "BENCH_crypto.json")
     assert not result.parity_failures, result.parity_failures
     assert not result.floor_failures, result.floor_failures
+
+
+def bench_lane_kernel_widths(benchmark, report_sink):
+    """Per-width speedup of the multi-lane AES kernel over the table loop.
+
+    The crossover recorded in ``fastcrypto._LANE_CROSSOVER`` and the
+    table in docs/PERFORMANCE.md come from this run.
+    """
+    result = benchmark.pedantic(
+        lane_speedups, kwargs={"repeats": 3 if quick_mode() else 7},
+        rounds=1, iterations=1,
+    )
+    lines = ["lanes  lane kernel / table loop"]
+    lines += [f"{lanes:5d}  {x:5.2f}x" for lanes, x in result["aes"].items()]
+    lines.append(f"aes_cmac_many, 16 x 1 KiB:       {result['cmac_window']:.2f}x")
+    lines.append(f"salsa20_encrypt_many, 16 x 1 KiB: {result['salsa20_window']:.2f}x")
+    report_sink("aes_lane_widths", "\n".join(lines))
+    assert result["aes"][16] > 1.0
+    assert result["cmac_window"] > 1.0
 
 
 def _payload_once(engine, data):

@@ -34,7 +34,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro.crypto.engine import get_engine, parity_check, use_engine
 
-__all__ = ["CryptoBenchResult", "run_cryptobench", "DEFAULT_SIZES"]
+__all__ = [
+    "CryptoBenchResult",
+    "run_cryptobench",
+    "lane_speedups",
+    "DEFAULT_SIZES",
+    "LANE_WIDTHS",
+]
 
 #: Value sizes swept by the full benchmark (bytes).  4096 is the size the
 #: acceptance floors are defined on.
@@ -43,6 +49,9 @@ DEFAULT_SIZES = (64, 256, 1024, 4096, 16384)
 _QUICK_SIZES = (256, 4096)
 
 _ENGINES = ("reference", "fast")
+
+#: Lane counts :func:`lane_speedups` times the multi-lane AES kernel at.
+LANE_WIDTHS = (1, 2, 3, 4, 8, 16, 32, 64, 128)
 
 _SALSA_KEY = bytes(range(32))
 _CMAC_KEY = bytes(range(32, 64))
@@ -228,6 +237,62 @@ def _bench_primitives(
             for name, t in times.items():
                 out[name][prim][size] = mb / t
     return out
+
+
+def lane_speedups(
+    widths=LANE_WIDTHS, repeats: int = 5, window: int = 16,
+    value_size: int = 1024,
+) -> Dict[str, object]:
+    """Fast-engine speedups of the lane kernels over the table loops.
+
+    ``aes`` maps each lane count to (byte-table loop time) / (lane
+    kernel time) for that many independent blocks under one broadcast
+    key, packing and unpacking included.  ``cmac_window`` and
+    ``salsa20_window`` compare one ``window``-message call of
+    ``aes_cmac_many``/``salsa20_encrypt_many`` (``value_size``-byte
+    messages, one key each) with a per-message loop of the fast engine.
+    Min-of-repeats, alternated in blocks like every other number here.
+    """
+    from repro.crypto import fastcrypto
+
+    fastcrypto._ensure_round_tables()
+    rk = fastcrypto._expand_key_128(_GCM_KEY)
+    aes: Dict[int, float] = {}
+    for lanes in widths:
+        states = [(0x9E3779B97F4A7C15 * (i + 1)) & ((1 << 128) - 1)
+                  for i in range(lanes)]
+        times = _min_times(
+            {
+                "table": lambda: fastcrypto._ecb_table(rk, states),
+                "lanes": lambda: fastcrypto._ecb_lanes(rk, states),
+            },
+            repeats, max(1, 64 // lanes),
+        )
+        aes[lanes] = times["table"] / times["lanes"]
+    fast = get_engine("fast")
+    keys = [bytes([i]) * 32 for i in range(window)]
+    datas = [bytes([i]) * value_size for i in range(window)]
+    cmac = _min_times(
+        {
+            "loop": lambda: [fast.aes_cmac(k, d) for k, d in zip(keys, datas)],
+            "many": lambda: fast.aes_cmac_many(keys, datas),
+        },
+        repeats, 1,
+    )
+    salsa = _min_times(
+        {
+            "loop": lambda: [
+                fast.salsa20_encrypt(k, _NONCE, d) for k, d in zip(keys, datas)
+            ],
+            "many": lambda: fast.salsa20_encrypt_many(keys, _NONCE, datas),
+        },
+        repeats, 1,
+    )
+    return {
+        "aes": aes,
+        "cmac_window": cmac["loop"] / cmac["many"],
+        "salsa20_window": salsa["loop"] / salsa["many"],
+    }
 
 
 def _bench_e2e(

@@ -689,40 +689,100 @@ class PrecursorClient:
         """
         return max(1, self._layout.slot_count // 2)
 
+    def _seal_window(self, controls, payloads=None) -> list:
+        """Seal a window's control segments in one transport batch.
+
+        IVs come off the session counter in submission order, and no
+        reply is consumed while a window is submitted, so every frame is
+        byte-identical to sealing each request on its own.
+        """
+        aad = struct.pack(">I", self.client_id)
+        sealed = self.provider.transport_seal_many(
+            self.session, [(control.encode(), aad) for control in controls]
+        )
+        if payloads is None:
+            payloads = [None] * len(controls)
+        credit = self._reply_consumer.consumed
+        return [
+            Request(
+                client_id=self.client_id,
+                sealed_control=message,
+                payload=payload,
+                reply_credit=credit,
+            )
+            for message, payload in zip(sealed, payloads)
+        ]
+
+    def _collect_window(self, controls) -> list:
+        """Consume every reply of a submitted window, then check them.
+
+        All replies are read off the ring and opened in one transport
+        batch *before* anything is checked, so a failure anywhere in the
+        window raises with nothing left queued behind it -- the next
+        operation on this client reads its own reply.  Checks run in
+        request order; returns ``(response, control)`` pairs.
+        """
+        responses = [self._await_response() for _ in controls]
+        aad = b"resp" + struct.pack(">I", self.client_id)
+        blobs = self.provider.transport_open_many(
+            self.session.key,
+            [(response.sealed_control, aad) for response in responses],
+        )
+        replies = []
+        for control, response, blob in zip(controls, responses, blobs):
+            if blob is None:
+                raise AuthenticationError(
+                    f"reply to oid {control.oid} failed authentication"
+                )
+            reply = ResponseControl.decode(blob)
+            if reply.oid != control.oid:
+                raise ProtocolError(
+                    f"response oid {reply.oid} does not match request "
+                    f"{control.oid}"
+                )
+            if reply.status is Status.REPLAY:
+                raise ReplayError(
+                    f"server rejected oid {control.oid} as a replay"
+                )
+            replies.append((response, reply))
+        return replies
+
     def put_many(self, items) -> int:
         """Pipeline several puts: submit a window of frames, then collect.
 
         Amortises server pumping and exploits the ring's depth (with
         selective signaling, batches are how one-sided designs reach their
-        throughput).  Returns the number of stored items; raises on the
-        first failed reply.
+        throughput).  Each window's crypto runs as one call per phase:
+        all payloads are encrypted and MACed together, then all control
+        segments are sealed together.  Returns the number of stored
+        items; raises on the first failed reply, after the whole window's
+        replies have been consumed.
         """
         items = list(items)
         window = self._batch_window()
         stored = 0
         for start in range(0, len(items), window):
-            pending = []
-            for key, value in items[start : start + window]:
+            chunk = items[start : start + window]
+            for key, _value in chunk:
                 self._check_key(key)
-                k_operation = self.keygen.operation_key()
-                payload = self.provider.payload_encrypt(k_operation, value)
-                control = self._next_control(OpCode.PUT, key, k_operation)
-                request = self._seal_control(control)
-                request = Request(
-                    client_id=request.client_id,
-                    sealed_control=request.sealed_control,
-                    payload=payload,
-                    reply_credit=request.reply_credit,
-                )
+            k_operations = [self.keygen.operation_key() for _ in chunk]
+            payloads = self.provider.payload_encrypt_many(
+                [(k_op, value) for k_op, (_key, value) in zip(k_operations, chunk)]
+            )
+            controls = [
+                self._next_control(OpCode.PUT, key, k_op)
+                for k_op, (key, _value) in zip(k_operations, chunk)
+            ]
+            for request in self._seal_window(controls, payloads):
                 self._submit(request)
-                pending.append(control.oid)
-            self.operations += len(pending)
-            for oid in pending:
-                control_resp = self._open_response(self._await_response(), oid)
-                if control_resp.status is not Status.OK:
+            self.operations += len(controls)
+            for control, (_response, reply) in zip(
+                controls, self._collect_window(controls)
+            ):
+                if reply.status is not Status.OK:
                     raise PrecursorError(
-                        f"batched put failed at oid {oid}: "
-                        f"{control_resp.status.name}"
+                        f"batched put failed at oid {control.oid}: "
+                        f"{reply.status.name}"
                     )
                 stored += 1
         return stored
@@ -730,43 +790,54 @@ class PrecursorClient:
     def get_many(self, keys) -> list:
         """Pipeline several gets; returns values aligned with ``keys``.
 
-        Raises :class:`KeyNotFoundError` on the first missing key and
-        :class:`IntegrityError` if any fetched payload fails verification.
+        Each window's replies are all consumed and opened before any is
+        checked; statuses are checked in request order, then every
+        payload of the window is verified and decrypted in one call.
+        Raises :class:`KeyNotFoundError` on the first missing key, and
+        :class:`IntegrityError` for the first key (in request order)
+        whose payload fails verification -- every failing payload of the
+        window counts towards :attr:`integrity_failures`.
         """
         keys = list(keys)
         window = self._batch_window()
         values = []
         for start in range(0, len(keys), window):
-            pending = []
-            for key in keys[start : start + window]:
+            chunk = keys[start : start + window]
+            for key in chunk:
                 self._check_key(key)
-                control = self._next_control(OpCode.GET, key)
-                self._submit(self._seal_control(control))
-                pending.append((control.oid, key))
-            self.operations += len(pending)
-            for oid, key in pending:
-                response = self._await_response()
-                control_resp = self._open_response(response, oid)
-                if control_resp.status is Status.NOT_FOUND:
+            controls = [self._next_control(OpCode.GET, key) for key in chunk]
+            for request in self._seal_window(controls):
+                self._submit(request)
+            self.operations += len(controls)
+            fetched = []
+            for key, (response, reply) in zip(
+                chunk, self._collect_window(controls)
+            ):
+                if reply.status is Status.NOT_FOUND:
                     raise KeyNotFoundError(key)
-                if control_resp.status is not Status.OK:
+                if reply.status is not Status.OK:
                     raise PrecursorError(
-                        f"batched get failed: {control_resp.status.name}"
+                        f"batched get failed: {reply.status.name}"
                     )
-                if response.payload is None or control_resp.k_operation is None:
+                if response.payload is None or reply.k_operation is None:
                     raise ProtocolError(
                         "GET response missing payload or key material"
                     )
                 payload = response.payload
-                if control_resp.mac is not None:
+                if reply.mac is not None:
                     payload = EncryptedPayload(
-                        ciphertext=payload.ciphertext, mac=control_resp.mac
+                        ciphertext=payload.ciphertext, mac=reply.mac
                     )
-                values.append(
-                    self.provider.payload_decrypt(
-                        control_resp.k_operation, payload
-                    )
+                fetched.append((reply.k_operation, payload))
+            plains = self.provider.payload_decrypt_many(fetched)
+            failed = [key for key, plain in zip(chunk, plains) if plain is None]
+            if failed:
+                self.integrity_failures += len(failed)
+                raise IntegrityError(
+                    f"payload MAC mismatch for key {failed[0]!r}: untrusted "
+                    "server memory was modified"
                 )
+            values.extend(plains)
         return values
 
     @staticmethod

@@ -17,10 +17,11 @@ hot path.
 
 Two interchangeable engines run the primitives (:mod:`repro.crypto.engine`):
 ``reference`` -- the readable spec implementations above -- and ``fast`` --
-optimised kernels (:mod:`repro.crypto.fastcrypto`) with pair-table AES,
-lane-parallel Salsa20 and table-driven GHASH.  Both produce byte-identical
-output; select via ``$REPRO_CRYPTO_ENGINE``, :func:`set_default_engine`
-or the ``engine=`` argument threaded through providers and key generators.
+optimised kernels (:mod:`repro.crypto.fastcrypto`) with byte-table and
+multi-lane AES, lane-parallel Salsa20 and table-driven GHASH.  Both
+produce byte-identical output; select via ``$REPRO_CRYPTO_ENGINE``,
+:func:`set_default_engine` or the ``engine=`` argument threaded through
+providers and key generators.
 """
 
 from repro.crypto.aes import AES128

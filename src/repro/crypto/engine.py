@@ -9,11 +9,18 @@ sealing -- goes through a :class:`CryptoEngine`.  Two engines ship:
   :mod:`~repro.crypto.gcm`).  It is the ground truth the test vectors
   run against and stays deliberately readable.
 - ``fast`` wraps the optimised kernels of
-  :mod:`~repro.crypto.fastcrypto` (unrolled Salsa20 core, T-table AES,
-  table-driven GHASH, cached CMAC subkeys).  Its outputs are
-  byte-identical to the reference engine's -- :func:`parity_check`
-  and the ``tests/test_crypto_engine.py`` matrix enforce this, so the
-  two engines interoperate freely (seal with one, open with the other).
+  :mod:`~repro.crypto.fastcrypto` (unrolled Salsa20 core, byte-table
+  and multi-lane AES, table-driven GHASH, cached CMAC subkeys).  Its
+  outputs are byte-identical to the reference engine's --
+  :func:`parity_check` and the ``tests/test_crypto_engine.py`` matrix
+  enforce this, so the two engines interoperate freely (seal with one,
+  open with the other).
+
+Window APIs: ``aes_cmac_many`` and ``salsa20_encrypt_many`` take one key
+per message.  The base class loops over the per-call methods; the fast
+engine runs a window's CMAC chains in lockstep lanes of the multi-lane
+AES kernel and every Salsa20 block of the window in one lane pass, with
+byte-identical results (see ``docs/PERFORMANCE.md``).
 
 Both engines keep a bounded per-key cache of GCM cipher objects, which
 fixes the historic per-message key-schedule rebuild: sealing N messages
@@ -34,7 +41,13 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.crypto import cmac as _cmac_module
-from repro.crypto.fastcrypto import FastAesGcm, FastCmac, FastSalsa20
+from repro.crypto.fastcrypto import (
+    FastAesGcm,
+    FastCmac,
+    FastSalsa20,
+    aes_cmac_lanes,
+    salsa20_encrypt_many,
+)
 from repro.crypto.gcm import AesGcm
 from repro.crypto.salsa20 import Salsa20
 from repro.errors import ConfigurationError
@@ -50,6 +63,7 @@ __all__ = [
     "use_engine",
     "resolve_engine",
     "parity_check",
+    "macs_equal",
 ]
 
 _ENV_VAR = "REPRO_CRYPTO_ENGINE"
@@ -76,6 +90,24 @@ class _KeyedCache:
         return entry
 
 
+def macs_equal(expected: bytes, mac: bytes) -> bool:
+    """Constant-time tag comparison: accumulate differences, then decide."""
+    if len(mac) != len(expected):
+        return False
+    diff = 0
+    for a, b in zip(expected, mac):
+        diff |= a ^ b
+    return diff == 0
+
+
+def _check_paired(keys, messages) -> None:
+    """Raise unless there is exactly one key per message."""
+    if len(keys) != len(messages):
+        raise ConfigurationError(
+            f"{len(keys)} keys for {len(messages)} messages"
+        )
+
+
 class CryptoEngine:
     """Interface every engine implements; see the module docstring.
 
@@ -98,13 +130,27 @@ class CryptoEngine:
 
     def cmac_verify(self, key: bytes, message: bytes, mac: bytes) -> bool:
         """Constant-time AES-CMAC verification."""
-        expected = self.aes_cmac(key, message)
-        if len(mac) != len(expected):
-            return False
-        diff = 0
-        for a, b in zip(expected, mac):
-            diff |= a ^ b
-        return diff == 0
+        return macs_equal(self.aes_cmac(key, message), mac)
+
+    def salsa20_encrypt_many(self, keys, nonce: bytes, datas) -> list:
+        """Salsa20 of ``datas[i]`` under ``keys[i]``, one shared nonce.
+
+        The base implementation is one :meth:`salsa20_encrypt` per item,
+        so the reference engine stays the ground truth for the batched
+        kernels.
+        """
+        _check_paired(keys, datas)
+        return [
+            self.salsa20_encrypt(key, nonce, data)
+            for key, data in zip(keys, datas)
+        ]
+
+    def aes_cmac_many(self, keys, messages) -> list:
+        """AES-CMAC of ``messages[i]`` under ``keys[i]``, in order."""
+        _check_paired(keys, messages)
+        return [
+            self.aes_cmac(key, message) for key, message in zip(keys, messages)
+        ]
 
     def gcm(self, key: bytes):
         """A cached AES-128-GCM cipher for ``key`` (``seal``/``open``)."""
@@ -152,6 +198,43 @@ class FastEngine(CryptoEngine):
     def aes_cmac(self, key: bytes, message: bytes) -> bytes:
         """CMAC with cached key schedule and subkeys."""
         return self._cmac_cache.get(bytes(key)).mac(message)
+
+    def salsa20_encrypt_many(self, keys, nonce: bytes, datas) -> list:
+        """Every message's blocks in one lane pass, each lane on its own key.
+
+        A single message takes :meth:`salsa20_encrypt` unchanged.
+        """
+        _check_paired(keys, datas)
+        if len(datas) == 1:
+            return [self.salsa20_encrypt(keys[0], nonce, datas[0])]
+        return salsa20_encrypt_many(keys, nonce, datas)
+
+    def aes_cmac_many(self, keys, messages) -> list:
+        """CMACs in lockstep: one lane per (key, message).
+
+        Messages are grouped by CMAC block count and each group's chains
+        advance together through :func:`~repro.crypto.fastcrypto.aes_cmac_lanes`
+        (its keys are expanded there and never enter the per-key caches).
+        A group of one takes the cached table chain of :meth:`aes_cmac`.
+        """
+        _check_paired(keys, messages)
+        if len(messages) == 1:
+            return [self.aes_cmac(keys[0], messages[0])]
+        groups: Dict[int, List[int]] = {}
+        for index, message in enumerate(messages):
+            groups.setdefault(max(1, (len(message) + 15) // 16), []).append(index)
+        out: list = [None] * len(messages)
+        for indices in groups.values():
+            if len(indices) == 1:
+                (index,) = indices
+                out[index] = self.aes_cmac(keys[index], messages[index])
+                continue
+            macs = aes_cmac_lanes(
+                [keys[i] for i in indices], [messages[i] for i in indices]
+            )
+            for index, mac in zip(indices, macs):
+                out[index] = mac
+        return out
 
     def gcm(self, key: bytes) -> FastAesGcm:
         """Cached :class:`~repro.crypto.fastcrypto.FastAesGcm` for ``key``."""
@@ -233,6 +316,8 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
     the fast path cannot have silently diverged from the reference.
     """
     import hashlib
+
+    from repro.crypto.provider import CryptoProvider, EncryptedPayload
 
     ref = get_engine("reference")
     fast = get_engine("fast")
@@ -317,5 +402,45 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
                 failures.append(
                     f"{engine.name} open_many tamper isolation broke "
                     f"at {size} B"
+                )
+
+        # Window APIs: the lockstep lane kernels must match the reference
+        # loop and the fast engine's own per-call outputs over mixed key
+        # sizes, a repeated key and a second length; one tampered MAC
+        # must fail its own entry and nothing else.
+        wkeys = [rand(tag + b"wk%d" % j, 16 if j % 3 == 0 else 32) for j in range(4)]
+        wkeys.append(wkeys[1])
+        wdatas = [rand(tag + b"wd%d" % j, size) for j in range(4)]
+        wdatas.append(rand(tag + b"wd4", size % 17))
+        windows = (
+            (
+                "salsa20_encrypt_many",
+                lambda e: e.salsa20_encrypt_many(wkeys, nonce, wdatas),
+                [fast.salsa20_encrypt(k, nonce, d) for k, d in zip(wkeys, wdatas)],
+            ),
+            (
+                "aes_cmac_many",
+                lambda e: e.aes_cmac_many(wkeys, wdatas),
+                [fast.aes_cmac(k, d) for k, d in zip(wkeys, wdatas)],
+            ),
+        )
+        for label, run, percall in windows:
+            many_fast = run(fast)
+            if many_fast != run(ref):
+                failures.append(f"{label} differs from reference at {size} B")
+            if many_fast != percall:
+                failures.append(f"fast {label} != per-call at {size} B")
+        for engine in (ref, fast):
+            provider = CryptoProvider(engine=engine)
+            payloads = provider.payload_encrypt_many(list(zip(wkeys, wdatas)))
+            bad = bytearray(payloads[2].mac)
+            bad[0] ^= 0x01
+            payloads[2] = EncryptedPayload(payloads[2].ciphertext, bytes(bad))
+            expected = list(wdatas)
+            expected[2] = None
+            if provider.payload_decrypt_many(list(zip(wkeys, payloads))) != expected:
+                failures.append(
+                    f"{engine.name} payload_decrypt_many tamper isolation "
+                    f"broke at {size} B"
                 )
     return failures

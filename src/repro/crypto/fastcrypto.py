@@ -13,30 +13,47 @@ but optimised for CPython instead of mirroring the specifications:
   across lanes).  Single blocks use a fully unrolled scalar core over
   sixteen local variables.  The plaintext/keystream XOR is one
   wide-integer operation instead of a per-byte generator.
-- **AES-128**: each round is sixteen lookups in 256-entry byte-position
-  tables, XORed on a 128-bit integer state.  The tables fuse SubBytes +
-  ShiftRows + MixColumns per state-byte position (derived from the
-  classic four 256-entry T-tables, pre-rotated to their output column),
-  so a whole round is ``M0[b0]^M1[b1]^...^M15[b15]^rk``.  At a few
-  hundred KB total they stay cache-resident under a real request mix,
-  which beats wider two-byte "pair" tables (~50 MB) that thrash the
-  cache on varied inputs.  They are key-independent, built lazily once
-  per process, and shared by every key; the key schedule is expanded
-  once per key and cached.  :func:`_ecb_many` runs a whole batch of
-  independent blocks through one sweep with all table locals bound once
-  (the batched server pipeline's seal/open kernels feed it every CTR
-  counter block and GCM tag mask of a drained frame set).
+- **AES-128, one block**: each round is sixteen lookups in 256-entry
+  byte-position tables, XORed on a 128-bit integer state.  The tables
+  fuse SubBytes + ShiftRows + MixColumns per state-byte position
+  (derived from the classic four 256-entry T-tables, pre-rotated to
+  their output column), so a whole round is
+  ``M0[b0]^M1[b1]^...^M15[b15]^rk``.  At a few hundred KB total they
+  stay cache-resident under a real request mix, which beats wider
+  two-byte "pair" tables (~50 MB) that thrash the cache on varied
+  inputs.  They are key-independent, built lazily once per process, and
+  shared by every key; the key schedule is expanded once per key and
+  cached.
+- **AES-128, many blocks** (:func:`_aes_lanes`): N independent blocks
+  are packed into one big integer, 128 bits per lane, and advance
+  together.  SubBytes is one ``bytes.translate`` over every lane;
+  ShiftRows and MixColumns (byte rotations and xtime) are shifts and
+  ANDs with lane masks replicated to the pass width and cached per
+  width (bounded).  Round keys are one schedule broadcast to every lane
+  or a different key per lane, expanded together by
+  :func:`_lane_key_schedule`.  A round costs about the same at 16 lanes
+  as at 4, so the per-block cost falls with width: about 0.55x the
+  table loop at one lane, 1.3x at three, 1.5x at four, 3.1-3.5x at
+  sixteen and 4.8-5.5x at 128 (``benchmarks/bench_wallclock_crypto.py``).
+  :func:`_ecb_many` picks the lane kernel from :data:`_LANE_CROSSOVER`
+  blocks up and the table loop below it.
 - **GCM**: GHASH uses a per-key 256-entry multiplication table (Shoup's
   method, byte-at-a-time Horner with a shared 256-entry reduction
   table) instead of the spec's 128-iteration bit loop; CTR keystream
   blocks run on the block kernel and are XORed against the
   message with one wide-integer op.  ``seal_many``/``open_many`` batch
-  whole message sets through :func:`_ecb_many` and a grouped GHASH
-  pass, byte-identical to per-message ``seal``/``open``.
-- **CMAC**: the AES key schedule and the RFC 4493 subkeys are derived
-  once per key and cached, and the serial CBC chain is a single
-  loop over the byte tables with the whole message pre-split
-  into 128-bit words.
+  whole message sets through :func:`_ecb_many` (so a window's counter
+  blocks and tag masks share lane passes) and a grouped GHASH pass,
+  byte-identical to per-message ``seal``/``open``.
+- **CMAC**: for one message, the AES key schedule and the RFC 4493
+  subkeys are derived once per key and cached, and the serial CBC chain
+  is a single loop over the byte tables with the whole message
+  pre-split into 128-bit words.  For a window of messages,
+  :func:`aes_cmac_lanes` runs one chain per lane in lockstep: each CBC
+  step is one lane pass, every lane under its own key.
+- **Window Salsa20**: :func:`salsa20_encrypt_many` packs every block of
+  every message of a window into one lane pass of the Salsa20 core,
+  each lane's state words taken from its own message's key.
 
 Everything stays within the Python standard library; the cross-engine
 parity checks in :mod:`repro.crypto.engine` guarantee these kernels can
@@ -46,13 +63,21 @@ never silently diverge from the spec-mirroring reference code.
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import Dict, List, Tuple
 
 from repro.crypto.aes import SBOX
 from repro.crypto.gcm import GcmFailure
 from repro.errors import ConfigurationError
 
-__all__ = ["FastSalsa20", "FastAES128", "FastAesGcm", "FastCmac"]
+__all__ = [
+    "FastSalsa20",
+    "FastAES128",
+    "FastAesGcm",
+    "FastCmac",
+    "aes_cmac_lanes",
+    "salsa20_encrypt_many",
+]
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -217,15 +242,201 @@ def _encrypt_int(rk: tuple, st: int) -> int:
     )
 
 
+# ---------------------------------------------------------------------------
+# Multi-lane AES-128: N independent blocks advance together in one big int
+# ---------------------------------------------------------------------------
+
+# Lane layout: block ``i`` of an N-lane pass occupies bytes
+# ``16*i .. 16*i+15`` of the state's big-endian byte string, so lane 0
+# is the most significant 128 bits and each lane keeps the 128-bit
+# integer convention of :func:`_encrypt_int`.  SubBytes is one
+# ``bytes.translate`` over all lanes; ShiftRows and MixColumns are a
+# few shift-and-mask operations whose per-lane masks are replicated to
+# the pass width and cached by width.
+_SBOX_BYTES = bytes(SBOX)
+
+#: Most lanes in one kernel pass; wider inputs run in several passes.
+#: Bounds both the big integers (2 KB) and every cached mask set.
+_AES_LANE_BATCH = 128
+#: Below this many blocks :func:`_ecb_many` keeps the table loop.
+#: Measured by :func:`repro.bench.cryptobench.lane_speedups` (one
+#: broadcast key; four runs, Python 3.11, shared x86 host): the lane
+#: kernel ran at 0.55-0.57x the table loop at one block, 0.92-1.00x at
+#: two, 1.27-1.35x at three, 1.5-1.6x at four and 3.1-3.5x at sixteen.
+_LANE_CROSSOVER = 3
+
+_LANE_MASKS: Dict[int, tuple] = {}
+_LANE_MASKS_MAX = 64
+
+
+def _replicate(pattern: int, lanes: int) -> int:
+    """A 128-bit ``pattern`` copied into every one of ``lanes`` lanes."""
+    return int.from_bytes(pattern.to_bytes(16, "big") * lanes, "big")
+
+
+def _byte_mask(positions) -> int:
+    """128-bit mask selecting the given state byte positions (0 = MSB)."""
+    mask = 0
+    for p in positions:
+        mask |= 0xFF << (8 * (15 - p))
+    return mask
+
+
+def _lane_masks(lanes: int) -> tuple:
+    """ShiftRows / MixColumns / key-schedule masks at one pass width.
+
+    Returns ``(keep, l32, r32, l64, r64, l96, r96, hi24, lo8, hi16,
+    lo16, low7, bit0, ones, low96, low64, low32)``, each replicated to
+    ``lanes`` lanes.  The cache is bounded: widths never exceed
+    :data:`_AES_LANE_BATCH`, and it is cleared once it holds
+    :data:`_LANE_MASKS_MAX` widths.
+    """
+    masks = _LANE_MASKS.get(lanes)
+    if masks is not None:
+        return masks
+    # ShiftRows moves state byte r + 4*((c + r) % 4) to r + 4*c; group
+    # the sixteen moves by distance so each group is one shift and mask.
+    moves: Dict[int, list] = {}
+    for row in range(4):
+        for col in range(4):
+            dst = row + 4 * col
+            src = row + 4 * ((col + row) % 4)
+            moves.setdefault(src - dst, []).append(dst)
+    patterns = (
+        _byte_mask(moves[0]),
+        _byte_mask(moves[4]), _byte_mask(moves[-4]),
+        _byte_mask(moves[8]), _byte_mask(moves[-8]),
+        _byte_mask(moves[12]), _byte_mask(moves[-12]),
+        # Byte rotations within each 32-bit column.
+        _byte_mask(p for p in range(16) if p % 4 != 3),
+        _byte_mask(range(3, 16, 4)),
+        _byte_mask(p for p in range(16) if p % 4 < 2),
+        _byte_mask(p for p in range(16) if p % 4 >= 2),
+        # xtime: each byte's low seven bits, and its top bit moved to bit 0.
+        int.from_bytes(b"\x7f" * 16, "big"), int.from_bytes(b"\x01" * 16, "big"),
+        1, _MASK128 >> 32, _MASK128 >> 64, _MASK128 >> 96,
+    )
+    masks = tuple(_replicate(p, lanes) for p in patterns)
+    if len(_LANE_MASKS) >= _LANE_MASKS_MAX:
+        _LANE_MASKS.clear()
+    _LANE_MASKS[lanes] = masks
+    return masks
+
+
+def _aes_lanes(rks, s: int, lanes: int) -> int:
+    """AES-128 on ``lanes`` independent blocks packed in one big int.
+
+    ``rks`` holds eleven lane-wide round keys: one key broadcast to every
+    lane (:func:`_broadcast_round_keys`) or a different key per lane
+    (:func:`_lane_key_schedule`).  A round is a fixed count of big-int
+    operations whatever the lane count, so the per-block cost falls as
+    lanes are added.
+    """
+    (keep, l32, r32, l64, r64, l96, r96,
+     hi24, lo8, hi16, lo16, low7, bit0) = _lane_masks(lanes)[:13]
+    nbytes = 16 * lanes
+    frombytes = int.from_bytes
+    sbox = _SBOX_BYTES
+    s ^= rks[0]
+    for rk in rks[1:10]:
+        # SubBytes, then ShiftRows as seven shift-and-mask moves.
+        s = frombytes(s.to_bytes(nbytes, "big").translate(sbox), "big")
+        s = (
+            (s & keep) | ((s << 32) & l32) | ((s >> 32) & r32)
+            | ((s << 64) & l64) | ((s >> 64) & r64)
+            | ((s << 96) & l96) | ((s >> 96) & r96)
+        )
+        # MixColumns: b_j = 2(a_j ^ a_j+1) ^ a_j+1 ^ a_j+2 ^ a_j+3 within
+        # each column, with byte rotations as masked shifts and xtime as
+        # a masked shift plus a conditional 0x1B per byte.
+        r1 = ((s << 8) & hi24) | ((s >> 24) & lo8)
+        u = s ^ r1
+        s = (
+            ((u & low7) << 1) ^ (((u >> 7) & bit0) * 0x1B)
+            ^ r1 ^ ((u << 16) & hi16) ^ ((u >> 16) & lo16) ^ rk
+        )
+    s = frombytes(s.to_bytes(nbytes, "big").translate(sbox), "big")
+    return (
+        (s & keep) | ((s << 32) & l32) | ((s >> 32) & r32)
+        | ((s << 64) & l64) | ((s >> 64) & r64)
+        | ((s << 96) & l96) | ((s >> 96) & r96)
+    ) ^ rks[10]
+
+
+def _broadcast_round_keys(rk: tuple, lanes: int) -> tuple:
+    """One key schedule copied into every lane."""
+    ones = _lane_masks(lanes)[13]
+    return tuple(r * ones for r in rk)
+
+
+def _lane_key_schedule(keys: int, lanes: int) -> tuple:
+    """FIPS-197 expansion of ``lanes`` different keys at once.
+
+    ``keys`` packs one 16-byte key per lane; the result is the eleven
+    lane-wide round keys, lane ``i`` carrying key ``i``'s schedule.
+    Nothing is cached: one-time keys never repeat, so a process-wide
+    cache would only evict the session keys that do.
+    """
+    ones, low96, low64, low32 = _lane_masks(lanes)[13:]
+    nbytes = 16 * lanes
+    sbox = _SBOX_BYTES
+    k = keys
+    out = [k]
+    for rcon in _RCON_WORDS:
+        subbed = int.from_bytes(k.to_bytes(nbytes, "big").translate(sbox), "big")
+        last = subbed & low32
+        # RotWord + SubWord + Rcon on each lane's last word, moved to
+        # the lane's first word.
+        t = ((((last << 8) | (last >> 24)) & low32) ^ (rcon * ones)) << 96
+        # Each word absorbs every word before it in its lane.
+        x = k ^ t
+        k = x ^ ((x >> 32) & low96) ^ ((x >> 64) & low64) ^ ((x >> 96) & low32)
+        out.append(k)
+    return tuple(out)
+
+
+def _pack_lanes(states) -> int:
+    """Pack 128-bit integers into lanes, first state most significant."""
+    return int.from_bytes(b"".join([s.to_bytes(16, "big") for s in states]), "big")
+
+
+def _unpack_lanes(s: int, lanes: int) -> list:
+    """The 128-bit lane values of ``s``, lane 0 first."""
+    raw = s.to_bytes(16 * lanes, "big")
+    frombytes = int.from_bytes
+    return [frombytes(raw[i : i + 16], "big") for i in range(0, 16 * lanes, 16)]
+
+
 def _ecb_many(rk: tuple, states) -> list:
     """AES-128 over a list of *independent* 128-bit integer states.
 
-    The batch twin of :func:`_encrypt_int`: the thirty-two byte-table
-    locals and the eleven round keys are bound once per call instead of
-    once per block.  A drained frame set's CTR counter blocks and tag
-    masks all flow through one sweep, which is where the batched
+    The batch twin of :func:`_encrypt_int`.  From :data:`_LANE_CROSSOVER`
+    blocks up, the blocks run through the multi-lane kernel
+    (:func:`_ecb_lanes`); below it, through the byte-table loop
+    (:func:`_ecb_table`).  A drained frame set's CTR counter blocks and
+    tag masks all flow through one call, which is where the batched
     seal/open kernels earn their keep.
     """
+    if len(states) >= _LANE_CROSSOVER:
+        return _ecb_lanes(rk, states)
+    return _ecb_table(rk, states)
+
+
+def _ecb_lanes(rk: tuple, states) -> list:
+    """``states`` through :func:`_aes_lanes` with ``rk`` in every lane,
+    in passes of at most :data:`_AES_LANE_BATCH` lanes."""
+    out = []
+    for start in range(0, len(states), _AES_LANE_BATCH):
+        chunk = states[start : start + _AES_LANE_BATCH]
+        lanes = len(chunk)
+        rks = _broadcast_round_keys(rk, lanes)
+        out.extend(_unpack_lanes(_aes_lanes(rks, _pack_lanes(chunk), lanes), lanes))
+    return out
+
+
+def _ecb_table(rk: tuple, states) -> list:
+    """``states`` through the byte tables, one block after another, with
+    the thirty-two table locals and eleven round keys bound once."""
     tb = _TOB
     m0, m1, m2, m3 = _M0, _M1, _M2, _M3
     m4, m5, m6, m7 = _M4, _M5, _M6, _M7
@@ -312,7 +523,7 @@ def _cbc_chain(rk: tuple, message: bytes, x: int = 0) -> int:
 
 
 class FastAES128:
-    """Pair-table AES-128 forward cipher; drop-in for :class:`AES128`."""
+    """Byte-table AES-128 forward cipher; drop-in for :class:`AES128`."""
 
     BLOCK_SIZE = 16
     KEY_SIZE = 16
@@ -486,7 +697,7 @@ class FastAesGcm:
         """Seal a batch of ``(iv, plaintext, aad)`` triples, in order.
 
         Fused, phase-grouped kernel: the CTR pass runs over every
-        message back-to-back while the AES pair tables are cache-hot,
+        message back-to-back while the AES tables are cache-hot,
         then the tag pass runs while the GHASH table is hot.  Nothing
         about the per-message math changes -- outputs are byte-identical
         to calling :meth:`seal` once per item -- but on a drained frame
@@ -662,6 +873,90 @@ def _lane_ramp(lanes: int) -> int:
     return v
 
 
+def _salsa_lanes(words, lanes: int) -> bytes:
+    """Run the Salsa20 core on ``lanes`` blocks at once; keystream bytes.
+
+    ``words`` are the sixteen state words, each a wide integer holding
+    one block's 32-bit word in each 64-bit lane (lane ``b`` at bits
+    ``64*b``).  32-bit adds cannot carry past bit 33, so lanes never
+    interfere; one add/xor/rotate on the wide integer is one SIMD
+    instruction across every block.  Returns the blocks' 64-byte
+    keystreams in lane order.
+    """
+    M = _MASK32 * _lane_ones(lanes)
+    (s0, s1, s2, s3, s4, s5, s6, s7,
+     s8, s9, s10, s11, s12, s13, s14, s15) = words
+    x0, x1, x2, x3 = s0, s1, s2, s3
+    x4, x5, x6, x7 = s4, s5, s6, s7
+    x8, x9, x10, x11 = s8, s9, s10, s11
+    x12, x13, x14, x15 = s12, s13, s14, s15
+    for _ in range(10):
+        # columnround
+        t = (x0 + x12) & M; x4 ^= ((t << 7) | (t >> 25)) & M
+        t = (x4 + x0) & M; x8 ^= ((t << 9) | (t >> 23)) & M
+        t = (x8 + x4) & M; x12 ^= ((t << 13) | (t >> 19)) & M
+        t = (x12 + x8) & M; x0 ^= ((t << 18) | (t >> 14)) & M
+        t = (x5 + x1) & M; x9 ^= ((t << 7) | (t >> 25)) & M
+        t = (x9 + x5) & M; x13 ^= ((t << 9) | (t >> 23)) & M
+        t = (x13 + x9) & M; x1 ^= ((t << 13) | (t >> 19)) & M
+        t = (x1 + x13) & M; x5 ^= ((t << 18) | (t >> 14)) & M
+        t = (x10 + x6) & M; x14 ^= ((t << 7) | (t >> 25)) & M
+        t = (x14 + x10) & M; x2 ^= ((t << 9) | (t >> 23)) & M
+        t = (x2 + x14) & M; x6 ^= ((t << 13) | (t >> 19)) & M
+        t = (x6 + x2) & M; x10 ^= ((t << 18) | (t >> 14)) & M
+        t = (x15 + x11) & M; x3 ^= ((t << 7) | (t >> 25)) & M
+        t = (x3 + x15) & M; x7 ^= ((t << 9) | (t >> 23)) & M
+        t = (x7 + x3) & M; x11 ^= ((t << 13) | (t >> 19)) & M
+        t = (x11 + x7) & M; x15 ^= ((t << 18) | (t >> 14)) & M
+        # rowround
+        t = (x0 + x3) & M; x1 ^= ((t << 7) | (t >> 25)) & M
+        t = (x1 + x0) & M; x2 ^= ((t << 9) | (t >> 23)) & M
+        t = (x2 + x1) & M; x3 ^= ((t << 13) | (t >> 19)) & M
+        t = (x3 + x2) & M; x0 ^= ((t << 18) | (t >> 14)) & M
+        t = (x5 + x4) & M; x6 ^= ((t << 7) | (t >> 25)) & M
+        t = (x6 + x5) & M; x7 ^= ((t << 9) | (t >> 23)) & M
+        t = (x7 + x6) & M; x4 ^= ((t << 13) | (t >> 19)) & M
+        t = (x4 + x7) & M; x5 ^= ((t << 18) | (t >> 14)) & M
+        t = (x10 + x9) & M; x11 ^= ((t << 7) | (t >> 25)) & M
+        t = (x11 + x10) & M; x8 ^= ((t << 9) | (t >> 23)) & M
+        t = (x8 + x11) & M; x9 ^= ((t << 13) | (t >> 19)) & M
+        t = (x9 + x8) & M; x10 ^= ((t << 18) | (t >> 14)) & M
+        t = (x15 + x14) & M; x12 ^= ((t << 7) | (t >> 25)) & M
+        t = (x12 + x15) & M; x13 ^= ((t << 9) | (t >> 23)) & M
+        t = (x13 + x12) & M; x14 ^= ((t << 13) | (t >> 19)) & M
+        t = (x14 + x13) & M; x15 ^= ((t << 18) | (t >> 14)) & M
+    # Feedforward, then pack adjacent word pairs so every 64-bit lane
+    # holds 8 consecutive output bytes of its block.
+    p0 = ((x0 + s0) & M) | (((x1 + s1) & M) << 32)
+    p1 = ((x2 + s2) & M) | (((x3 + s3) & M) << 32)
+    p2 = ((x4 + s4) & M) | (((x5 + s5) & M) << 32)
+    p3 = ((x6 + s6) & M) | (((x7 + s7) & M) << 32)
+    p4 = ((x8 + s8) & M) | (((x9 + s9) & M) << 32)
+    p5 = ((x10 + s10) & M) | (((x11 + s11) & M) << 32)
+    p6 = ((x12 + s12) & M) | (((x13 + s13) & M) << 32)
+    p7 = ((x14 + s14) & M) | (((x15 + s15) & M) << 32)
+    # Transpose the 8 x lanes matrix of 8-byte cells into per-block
+    # order: unpack each register into per-lane 64-bit words, then
+    # re-pack interleaved (struct does the byte shuffling in C).
+    fmt = "<%dQ" % lanes
+    unpack = struct.unpack
+    flat = [
+        v
+        for tup in zip(
+            unpack(fmt, p0.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p1.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p2.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p3.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p4.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p5.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p6.to_bytes(8 * lanes, "little")),
+            unpack(fmt, p7.to_bytes(8 * lanes, "little")),
+        )
+        for v in tup
+    ]
+    return struct.pack("<%dQ" % (8 * lanes), *flat)
+
+
 class FastSalsa20:
     """Salsa20 stream cipher, drop-in for :class:`repro.crypto.salsa20.Salsa20`.
 
@@ -760,23 +1055,14 @@ class FastSalsa20:
 
         Each of the sixteen Salsa20 state words becomes a wide integer
         with that word's value for block ``counter + b`` in 64-bit lane
-        ``b``.  32-bit adds cannot carry past bit 33, so lanes never
-        interfere; one add/xor/rotate on the wide integer is one SIMD
-        instruction across every block.
+        ``b`` (see :func:`_salsa_lanes`).
         """
         M32 = _MASK32
         B = _lane_ones(lanes)
-        M = M32 * B
-        (w0, w1, w2, w3, w4, w5, w6, w7,
-         _, _, w10, w11, w12, w13, w14, w15) = self._state
-        s0 = w0 * B; s1 = w1 * B; s2 = w2 * B; s3 = w3 * B
-        s4 = w4 * B; s5 = w5 * B; s6 = w6 * B; s7 = w7 * B
-        s10 = w10 * B; s11 = w11 * B; s12 = w12 * B; s13 = w13 * B
-        s14 = w14 * B; s15 = w15 * B
+        words = [w * B for w in self._state]
         if counter + lanes <= (1 << 32):
             # Sequential counters all share a zero high word.
-            s8 = counter * B + _lane_ramp(lanes)
-            s9 = 0
+            words[8] = counter * B + _lane_ramp(lanes)
         else:
             s8 = 0
             s9 = 0
@@ -784,75 +1070,9 @@ class FastSalsa20:
                 c = counter + b
                 s8 |= (c & M32) << (64 * b)
                 s9 |= ((c >> 32) & M32) << (64 * b)
-        x0, x1, x2, x3 = s0, s1, s2, s3
-        x4, x5, x6, x7 = s4, s5, s6, s7
-        x8, x9, x10, x11 = s8, s9, s10, s11
-        x12, x13, x14, x15 = s12, s13, s14, s15
-        for _ in range(10):
-            # columnround
-            t = (x0 + x12) & M; x4 ^= ((t << 7) | (t >> 25)) & M
-            t = (x4 + x0) & M; x8 ^= ((t << 9) | (t >> 23)) & M
-            t = (x8 + x4) & M; x12 ^= ((t << 13) | (t >> 19)) & M
-            t = (x12 + x8) & M; x0 ^= ((t << 18) | (t >> 14)) & M
-            t = (x5 + x1) & M; x9 ^= ((t << 7) | (t >> 25)) & M
-            t = (x9 + x5) & M; x13 ^= ((t << 9) | (t >> 23)) & M
-            t = (x13 + x9) & M; x1 ^= ((t << 13) | (t >> 19)) & M
-            t = (x1 + x13) & M; x5 ^= ((t << 18) | (t >> 14)) & M
-            t = (x10 + x6) & M; x14 ^= ((t << 7) | (t >> 25)) & M
-            t = (x14 + x10) & M; x2 ^= ((t << 9) | (t >> 23)) & M
-            t = (x2 + x14) & M; x6 ^= ((t << 13) | (t >> 19)) & M
-            t = (x6 + x2) & M; x10 ^= ((t << 18) | (t >> 14)) & M
-            t = (x15 + x11) & M; x3 ^= ((t << 7) | (t >> 25)) & M
-            t = (x3 + x15) & M; x7 ^= ((t << 9) | (t >> 23)) & M
-            t = (x7 + x3) & M; x11 ^= ((t << 13) | (t >> 19)) & M
-            t = (x11 + x7) & M; x15 ^= ((t << 18) | (t >> 14)) & M
-            # rowround
-            t = (x0 + x3) & M; x1 ^= ((t << 7) | (t >> 25)) & M
-            t = (x1 + x0) & M; x2 ^= ((t << 9) | (t >> 23)) & M
-            t = (x2 + x1) & M; x3 ^= ((t << 13) | (t >> 19)) & M
-            t = (x3 + x2) & M; x0 ^= ((t << 18) | (t >> 14)) & M
-            t = (x5 + x4) & M; x6 ^= ((t << 7) | (t >> 25)) & M
-            t = (x6 + x5) & M; x7 ^= ((t << 9) | (t >> 23)) & M
-            t = (x7 + x6) & M; x4 ^= ((t << 13) | (t >> 19)) & M
-            t = (x4 + x7) & M; x5 ^= ((t << 18) | (t >> 14)) & M
-            t = (x10 + x9) & M; x11 ^= ((t << 7) | (t >> 25)) & M
-            t = (x11 + x10) & M; x8 ^= ((t << 9) | (t >> 23)) & M
-            t = (x8 + x11) & M; x9 ^= ((t << 13) | (t >> 19)) & M
-            t = (x9 + x8) & M; x10 ^= ((t << 18) | (t >> 14)) & M
-            t = (x15 + x14) & M; x12 ^= ((t << 7) | (t >> 25)) & M
-            t = (x12 + x15) & M; x13 ^= ((t << 9) | (t >> 23)) & M
-            t = (x13 + x12) & M; x14 ^= ((t << 13) | (t >> 19)) & M
-            t = (x14 + x13) & M; x15 ^= ((t << 18) | (t >> 14)) & M
-        # Feedforward, then pack adjacent word pairs so every 64-bit lane
-        # holds 8 consecutive output bytes of its block.
-        p0 = ((x0 + s0) & M) | (((x1 + s1) & M) << 32)
-        p1 = ((x2 + s2) & M) | (((x3 + s3) & M) << 32)
-        p2 = ((x4 + s4) & M) | (((x5 + s5) & M) << 32)
-        p3 = ((x6 + s6) & M) | (((x7 + s7) & M) << 32)
-        p4 = ((x8 + s8) & M) | (((x9 + s9) & M) << 32)
-        p5 = ((x10 + s10) & M) | (((x11 + s11) & M) << 32)
-        p6 = ((x12 + s12) & M) | (((x13 + s13) & M) << 32)
-        p7 = ((x14 + s14) & M) | (((x15 + s15) & M) << 32)
-        # Transpose the 8 x lanes matrix of 8-byte cells into per-block
-        # order: unpack each register into per-lane 64-bit words, then
-        # re-pack interleaved (struct does the byte shuffling in C).
-        fmt = "<%dQ" % lanes
-        unpack = struct.unpack
-        flat = [
-            v
-            for tup in zip(
-                unpack(fmt, p0.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p1.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p2.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p3.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p4.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p5.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p6.to_bytes(8 * lanes, "little")),
-                unpack(fmt, p7.to_bytes(8 * lanes, "little")),
-            )
-            for v in tup
-        ]
-        return struct.pack("<%dQ" % (8 * lanes), *flat)
+            words[8] = s8
+            words[9] = s9
+        return _salsa_lanes(words, lanes)
 
     def keystream(self, length: int, counter: int = 0) -> bytes:
         """Generate ``length`` keystream bytes starting at block ``counter``."""
@@ -885,31 +1105,84 @@ class FastSalsa20:
     decrypt = encrypt
 
 
+def salsa20_encrypt_many(keys, nonce: bytes, datas) -> list:
+    """Salsa20-encrypt each ``datas[i]`` under ``keys[i]`` (counter 0).
+
+    Every message's blocks share one lane pass (up to
+    :data:`_LANE_BATCH` blocks per pass): lane ``b`` of a message
+    carries that message's key and nonce words with block counter ``b``.
+    Byte-identical to one :class:`FastSalsa20` per message.
+    """
+    M32 = _MASK32
+    lane_states: list = []
+    counters: list = []
+    sizes = []
+    for key, data in zip(keys, datas):
+        state = FastSalsa20(key, nonce)._state
+        blocks = (len(data) + 63) // 64
+        lane_states.extend([state] * blocks)
+        counters.extend(range(blocks))
+        sizes.append(len(data))
+    pieces = []
+    frombytes = int.from_bytes
+    pack = struct.pack
+    for start in range(0, len(lane_states), _LANE_BATCH):
+        chunk = lane_states[start : start + _LANE_BATCH]
+        lanes = len(chunk)
+        fmt = "<%dQ" % lanes
+        columns = list(zip(*chunk))
+        ctr = counters[start : start + _LANE_BATCH]
+        columns[8] = [c & M32 for c in ctr]
+        columns[9] = [c >> 32 for c in ctr]
+        words = [frombytes(pack(fmt, *col), "little") for col in columns]
+        pieces.append(_salsa_lanes(words, lanes))
+    stream = b"".join(pieces)
+    out = []
+    offset = 0
+    for data, n in zip(datas, sizes):
+        if n:
+            ks = stream[offset : offset + n]
+            out.append(
+                (frombytes(data, "little") ^ frombytes(ks, "little")).to_bytes(
+                    n, "little"
+                )
+            )
+        else:
+            out.append(b"")
+        offset += 64 * ((n + 63) // 64)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# CMAC with cached subkeys on the pair-table chain
+# CMAC: cached subkeys on the table chain, lockstep lanes for windows
 # ---------------------------------------------------------------------------
+
+
+def _cmac_key(key: bytes) -> bytes:
+    """The 16-byte AES key behind a CMAC key (32-byte keys XOR-folded)."""
+    if len(key) == 32:
+        return (
+            int.from_bytes(key[:16], "big") ^ int.from_bytes(key[16:], "big")
+        ).to_bytes(16, "big")
+    if len(key) != 16:
+        raise ConfigurationError(
+            f"CMAC key must be 16 or 32 bytes, got {len(key)}"
+        )
+    return bytes(key)
 
 
 class FastCmac:
     """AES-128-CMAC with the key schedule and RFC 4493 subkeys cached.
 
     One instance per (folded) key; :meth:`mac` then runs the serial CBC
-    chain of :func:`_cbc_chain` -- one unrolled pair-table AES block per
+    chain of :func:`_cbc_chain` -- one unrolled byte-table AES block per
     16 message bytes and nothing else.
     """
 
     BLOCK = 16
 
     def __init__(self, key: bytes):
-        if len(key) == 32:
-            key = (
-                int.from_bytes(key[:16], "big") ^ int.from_bytes(key[16:], "big")
-            ).to_bytes(16, "big")
-        elif len(key) != 16:
-            raise ConfigurationError(
-                f"CMAC key must be 16 or 32 bytes, got {len(key)}"
-            )
-        self._aes = FastAES128(key)
+        self._aes = FastAES128(_cmac_key(key))
         self._rk = self._aes._rk
         l = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
         k1 = ((l << 1) & _MASK128) ^ (0x87 if l >> 127 else 0)
@@ -930,3 +1203,81 @@ class FastCmac:
         rk = self._rk
         x = _cbc_chain(rk, message[: (n_blocks - 1) * 16])
         return _encrypt_int(rk, x ^ last_int).to_bytes(16, "big")
+
+
+def aes_cmac_lanes(keys, messages) -> list:
+    """AES-CMAC of ``messages[i]`` under ``keys[i]``, all chains in lockstep.
+
+    Every message must span the same number of CMAC blocks
+    (``max(1, ceil(len / 16))``).  Lane ``i`` carries message ``i``'s
+    CBC chain under its own key: the keys are expanded together by
+    :func:`_lane_key_schedule` (and never cached), the RFC 4493 subkeys
+    come from one lane pass over zero blocks, and then each step of
+    :func:`_aes_lanes` advances every chain by one block.  Byte-identical
+    to :meth:`FastCmac.mac` per message.
+    """
+    out: list = []
+    for start in range(0, len(keys), _AES_LANE_BATCH):
+        chunk_keys = keys[start : start + _AES_LANE_BATCH]
+        chunk = messages[start : start + _AES_LANE_BATCH]
+        lanes = len(chunk)
+        ones = _lane_masks(lanes)[13]
+        rks = _lane_key_schedule(
+            int.from_bytes(b"".join([_cmac_key(k) for k in chunk_keys]), "big"),
+            lanes,
+        )
+        # Subkeys per lane: K1 = dbl(E_K(0)), K2 = dbl(K1); a lane's top
+        # bit must not spill into its neighbour's bottom bit.
+        clear = ((1 << (128 * lanes)) - 1) ^ ones
+        zero = _aes_lanes(rks, 0, lanes)
+        k1 = ((zero << 1) & clear) ^ (((zero >> 127) & ones) * 0x87)
+        k2 = ((k1 << 1) & clear) ^ (((k1 >> 127) & ones) * 0x87)
+        n_blocks = max(1, (len(chunk[0]) + 15) // 16)
+        padded = []
+        complete = []
+        for message in chunk:
+            n = len(message)
+            if n > 0 and n % 16 == 0:
+                padded.append(message)
+                complete.append(b"\xff" * 16)
+            else:
+                padded.append(
+                    message + b"\x80" + b"\x00" * (16 * n_blocks - n - 1)
+                )
+                complete.append(b"\x00" * 16)
+        # Each lane's last block takes K1 when complete, K2 when padded.
+        select = int.from_bytes(b"".join(complete), "big")
+        subkeys = k2 ^ ((k1 ^ k2) & select)
+        steps = _transpose_blocks(b"".join(padded), lanes, n_blocks)
+        x = 0
+        for step in steps[:-1]:
+            x = _aes_lanes(rks, x ^ step, lanes)
+        x = _aes_lanes(rks, x ^ steps[-1] ^ subkeys, lanes)
+        raw = x.to_bytes(16 * lanes, "big")
+        out.extend(raw[i : i + 16] for i in range(0, 16 * lanes, 16))
+    return out
+
+
+def _transpose_blocks(cells: bytes, lanes: int, n_blocks: int) -> list:
+    """Regroup ``lanes`` messages of ``n_blocks`` blocks each by block.
+
+    ``cells`` is the messages back to back; entry ``j`` of the result
+    packs block ``j`` of every message into one lane-wide integer.  The
+    16-byte blocks move as pairs of 8-byte array items, so the shuffle
+    is two strided slice copies per message.
+    """
+    row = 16 * lanes
+    if n_blocks > 1:
+        src = array("Q", cells)
+        dst = array("Q", bytes(len(cells)))
+        width = 2 * lanes
+        per_message = 2 * n_blocks
+        for i in range(lanes):
+            base = i * per_message
+            dst[2 * i :: width] = src[base : base + per_message : 2]
+            dst[2 * i + 1 :: width] = src[base + 1 : base + per_message : 2]
+        cells = dst.tobytes()
+    frombytes = int.from_bytes
+    return [
+        frombytes(cells[j * row : (j + 1) * row], "big") for j in range(n_blocks)
+    ]

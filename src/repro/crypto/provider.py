@@ -8,6 +8,11 @@
   encryption of control data under the session key
   (``auth-encrypt``/``auth-decrypt`` in the paper's notation, §3.4).
 
+Each path also has a ``*_many`` form that runs a whole window of
+messages through one engine call per phase, byte-identical to the
+per-message calls (the pipelined client uses them; the single-message
+calls are their one-item case on the payload path).
+
 Both paths run on a pluggable :class:`~repro.crypto.engine.CryptoEngine`
 (``reference`` or ``fast``; see :mod:`repro.crypto.engine`).  The engine
 keeps a bounded per-key cache of GCM cipher objects, so sealing N
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.engine import resolve_engine
+from repro.crypto.engine import macs_equal, resolve_engine
 from repro.crypto.gcm import GcmFailure
 from repro.crypto.keys import KeyGenerator, SessionKey
 from repro.errors import AuthenticationError, IntegrityError
@@ -82,12 +87,10 @@ class CryptoProvider:
         """Encrypt ``value`` under a one-time key; MAC the ciphertext.
 
         Mirrors Algorithm 1, lines 2-4: ``*v = E(K_op, v)``,
-        ``mac = MAC(K_op, *v)``.
+        ``mac = MAC(K_op, *v)``.  The one-item case of
+        :meth:`payload_encrypt_many`.
         """
-        engine = self.engine
-        ciphertext = engine.salsa20_encrypt(k_operation, _ONE_TIME_NONCE, value)
-        mac = engine.aes_cmac(k_operation, ciphertext)
-        return EncryptedPayload(ciphertext=ciphertext, mac=mac)
+        return self.payload_encrypt_many([(k_operation, value)])[0]
 
     def payload_decrypt(self, k_operation: bytes, payload: EncryptedPayload) -> bytes:
         """Verify the MAC, then decrypt.  Raises on tampering.
@@ -95,15 +98,57 @@ class CryptoProvider:
         This is the client-side check after a ``get()``: recompute the MAC
         over the fetched ciphertext with the one-time key obtained from the
         (trusted) control data and compare (paper §3.7, "Query data").
+        The one-item case of :meth:`payload_decrypt_many`.
         """
-        engine = self.engine
-        if not engine.cmac_verify(k_operation, payload.ciphertext, payload.mac):
+        (value,) = self.payload_decrypt_many([(k_operation, payload)])
+        if value is None:
             raise IntegrityError(
                 "payload MAC mismatch: untrusted server memory was modified"
             )
-        return engine.salsa20_encrypt(
-            k_operation, _ONE_TIME_NONCE, payload.ciphertext
+        return value
+
+    def payload_encrypt_many(self, items) -> list:
+        """Encrypt and MAC a list of ``(k_operation, value)`` pairs.
+
+        One engine call per phase for the whole set: every Salsa20
+        encryption, then every CMAC (the fast engine runs each phase's
+        messages in lockstep lanes).  Byte-identical to one
+        :meth:`payload_encrypt` per pair.
+        """
+        keys = [k_operation for k_operation, _value in items]
+        engine = self.engine
+        ciphertexts = engine.salsa20_encrypt_many(
+            keys, _ONE_TIME_NONCE, [value for _k, value in items]
         )
+        macs = engine.aes_cmac_many(keys, ciphertexts)
+        return list(map(EncryptedPayload, ciphertexts, macs))
+
+    def payload_decrypt_many(self, items) -> list:
+        """Verify and decrypt a list of ``(k_operation, payload)`` pairs.
+
+        Returns the plaintext per entry, or ``None`` where the MAC did
+        not verify; nothing raises, so a caller can account for every
+        failure in the set.  Only verified payloads are decrypted.
+        """
+        engine = self.engine
+        expected = engine.aes_cmac_many(
+            [k_operation for k_operation, _payload in items],
+            [payload.ciphertext for _k, payload in items],
+        )
+        verified = [
+            index
+            for index, ((_k, payload), mac) in enumerate(zip(items, expected))
+            if macs_equal(mac, payload.mac)
+        ]
+        plains = engine.salsa20_encrypt_many(
+            [items[i][0] for i in verified],
+            _ONE_TIME_NONCE,
+            [items[i][1].ciphertext for i in verified],
+        )
+        out: list = [None] * len(items)
+        for index, plain in zip(verified, plains):
+            out[index] = plain
+        return out
 
     def payload_mac_valid(self, k_operation: bytes, payload: EncryptedPayload) -> bool:
         """Non-raising MAC check (used by the server-encryption variant)."""

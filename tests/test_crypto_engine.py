@@ -1,11 +1,11 @@
 """Crypto engine layer: published vectors on BOTH engines, parity, selection.
 
 The ``fast`` engine re-implements every primitive with different data
-structures (pair-table AES, lane-parallel Salsa20, table-driven GHASH),
-so each one is pinned to the same published vectors as the readable
-reference -- a shared bug in both engines cannot hide behind a
-parity-only check -- and a randomized cross-engine matrix then proves
-the two interoperate on every path the stack uses.
+structures (byte-table and multi-lane AES, lane-parallel Salsa20,
+table-driven GHASH), so each one is pinned to the same published vectors
+as the readable reference -- a shared bug in both engines cannot hide
+behind a parity-only check -- and a randomized cross-engine matrix then
+proves the two interoperate on every path the stack uses.
 """
 
 import random

@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-quick scorecard shard-smoke chaos-smoke cryptobench-smoke replica-smoke health-smoke traffic-smoke batch-smoke cache-smoke autoscale-smoke examples lint clean
+.PHONY: install test bench bench-quick scorecard gates shard-smoke chaos-smoke replica-smoke health-smoke traffic-smoke examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -18,6 +18,13 @@ bench-quick:
 
 scorecard:
 	$(PYTHON) -m repro.cli scorecard
+
+# Every artifact and BENCH_*.json gate, reduced (see `python -m repro.cli
+# list`): crypto parity + 5x floor, batching identity + 1.05x floor,
+# replication, traffic knee, near-cache and autoscaler gates.  Writes
+# bench_reports/BENCH_*_quick.json; exits 1 if any gate fails.
+gates:
+	PYTHONPATH=src $(PYTHON) -m repro.cli all --quick
 
 # Functional sharded cluster: routing, live join + migration, epoch retry.
 shard-smoke:
@@ -36,14 +43,13 @@ chaos-smoke:
 # Replicated failover chaos under three fixed seeds: sync groups must
 # lose nothing across promotions (exit 1 on any acked loss), then a
 # 2-replica scaleout smoke proves migration x replication coexistence
-# and the modelled ack-mode cost table regenerates (docs/REPLICATION.md).
+# (docs/REPLICATION.md).
 replica-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 7 --ops 150
 	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 23 --ops 150 --replicas 2 \
 		--schedule "shard_death:0.05,replica_lag:0.08,promote_during_migration:0.02"
 	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 42 --ops 150 --ack-mode semi-sync
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard --shards 2 --ops 400 --workload b
-	PYTHONPATH=src $(PYTHON) -m repro.cli replicate --quick
 
 # Telemetry pipeline smoke (docs/OBSERVABILITY.md): a clean sharded +
 # replicated run must produce an OK windowed SLO report (exit 1 on any
@@ -57,49 +63,11 @@ health-smoke:
 # Open-loop traffic smoke (docs/TRAFFIC.md): a short flash-crowd
 # scenario on 2 shards must hold a loose SLO with the correction
 # invariant intact (corrected p99 >= uncorrected p99; exit 1 if either
-# fails), then the quick knee search must pass its omission-gap gates.
+# fails).
 traffic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli traffic --scenario flash-crowd \
 		--shards 2 --seed 11 --ops 240 \
 		--slo "latency:p99<60ms:min=8,errors:budget=2%:burn<5"
-	PYTHONPATH=src $(PYTHON) -m repro.cli loadknee --quick
-
-# Wall-clock crypto benchmark, reduced: cross-engine parity must hold and
-# the fast engine must beat 5x reference on the 4 KiB payload/transport
-# checkpoints (docs/PERFORMANCE.md).  Exits 1 on either failure.
-cryptobench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli cryptobench --quick --floor 5
-
-# Batched request pipeline gate (docs/BATCHING.md): the equivalence and
-# chaos suites must hold at every tested K, then the reduced benchmark
-# must keep its identity self-check green and clear a relaxed speedup
-# floor at K=16 (the committed artifact BENCH_batching.json holds the
-# full-run numbers against the 1.3x acceptance floor).
-batch-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_batch_equivalence.py \
-		tests/test_batch_chaos.py tests/test_batch_pipeline_units.py
-	PYTHONPATH=src $(PYTHON) -m repro.cli batchbench --quick --floor 1.05
-
-# Near-cache gate (docs/CACHING.md): the cache/offload unit, router and
-# chaos suites must hold, then the reduced benchmark must clear the
-# knee-shift, primary-shed and state-equivalence gates (the committed
-# artifact BENCH_nearcache.json holds the full-run numbers).
-cache-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_nearcache_units.py \
-		tests/test_nearcache_router.py tests/test_nearcache_chaos.py
-	PYTHONPATH=src $(PYTHON) -m repro.cli nearcachebench --quick
-
-# Elastic autoscaler gate (docs/AUTOSCALING.md): the policy, actuator,
-# scenario, chaos and topology-event suites must hold, then the reduced
-# benchmark must clear its gates -- exit 1 on any flapping, a failed
-# SLO-recovery phase, a non-deterministic decision log, or a chaos run
-# with the controller live going red (the committed artifact
-# BENCH_autoscale.json holds the full-run numbers).
-autoscale-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_autoscale_policy.py \
-		tests/test_autoscale_actuator.py tests/test_autoscale_scenarios.py \
-		tests/test_autoscale_chaos.py tests/test_topology_events.py
-	PYTHONPATH=src $(PYTHON) -m repro.cli autoscalebench --quick
 
 examples:
 	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done

@@ -4,14 +4,15 @@ Unlike the figure benchmarks (which replay the paper's *modelled*
 AES-NI-class numbers), this suite measures the repo's real pure-Python
 primitives under both crypto engines and asserts the optimised kernels
 actually deliver: cross-engine parity must hold, and the fast engine
-must beat the floors the CI smoke job enforces.
+must beat the floors the CI gates job enforces.
 
 Set ``REPRO_BENCH_QUICK=1`` for the shortened CI variant.
 """
 
 from conftest import quick_mode
 
-from repro.bench.cryptobench import lane_speedups, run_cryptobench, write_json
+from repro.bench.cryptobench import lane_speedups, run_cryptobench
+from repro.bench.report import bench_path, write_json
 from repro.crypto.engine import get_engine
 
 
@@ -22,8 +23,7 @@ def bench_cryptobench_engines(benchmark, report_sink):
         rounds=1, iterations=1,
     )
     report_sink("cryptobench", result.report())
-    write_json(result, "bench_reports/BENCH_crypto_quick.json"
-               if quick else "BENCH_crypto.json")
+    write_json(result, bench_path("crypto", quick))
     assert not result.parity_failures, result.parity_failures
     assert not result.floor_failures, result.floor_failures
 

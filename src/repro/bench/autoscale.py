@@ -56,7 +56,6 @@ __all__ = [
     "ELASTIC_KNEE_MIN",
     "AutoscaleBenchResult",
     "run_autoscalebench",
-    "write_json",
 ]
 
 #: Minimum elastic-knee / best-static-knee ratio (peak-capacity floor).
@@ -469,14 +468,3 @@ def run_autoscalebench(
     _determinism_phase(result, seed, ops)
     _chaos_phase(result)
     return result
-
-
-def write_json(result: AutoscaleBenchResult, path) -> None:
-    """Serialise ``result`` to ``path`` as indented JSON."""
-    import pathlib
-
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )

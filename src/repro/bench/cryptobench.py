@@ -27,7 +27,6 @@ Entry points: :func:`run_cryptobench` (library),
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -408,12 +407,3 @@ def run_cryptobench(
                 f"chaos smoke failed under {eng} engine"
             )
     return result
-
-
-def write_json(result: CryptoBenchResult, path) -> None:
-    """Serialise ``result`` to ``path`` as indented JSON."""
-    import pathlib
-
-    p = pathlib.Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")

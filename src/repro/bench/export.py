@@ -23,7 +23,7 @@ from repro.bench.faulttail import FaultTailResult
 from repro.bench.replicate import ReplicationResult
 from repro.bench.scaleout import ScaleoutResult
 
-__all__ = ["to_csv"]
+__all__ = ["has_csv", "to_csv"]
 
 
 def _rows(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -225,6 +225,11 @@ _EXPORTERS = {
     FaultTailResult: _faulttail,
     ReplicationResult: _replicate,
 }
+
+
+def has_csv(result) -> bool:
+    """True when :func:`to_csv` has an exporter for ``result``."""
+    return type(result) in _EXPORTERS
 
 
 def to_csv(result) -> str:

@@ -37,7 +37,6 @@ Everything derives from one seed, so the committed
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List
 
@@ -50,7 +49,6 @@ __all__ = [
     "SHED_MAX",
     "NearCacheBenchResult",
     "run_nearcachebench",
-    "write_json",
 ]
 
 #: Minimum cached-knee / baseline-knee ratio required per topology.
@@ -419,14 +417,3 @@ def run_nearcachebench(
     _fixed_rate_phase(result, seed, ops)
     _equivalence_phase(result)
     return result
-
-
-def write_json(result: NearCacheBenchResult, path) -> None:
-    """Serialise ``result`` to ``path`` as indented JSON."""
-    import pathlib
-
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )

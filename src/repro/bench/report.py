@@ -1,15 +1,25 @@
-"""Plain-text reporting: the rows/series the paper's figures show.
+"""Reporting: the rows/series the paper's figures show, and gate files.
 
 Every experiment renders to an ASCII table with a ``paper`` column next to
 the simulated/measured one, so EXPERIMENTS.md (and CI logs) show the
-comparison at a glance.
+comparison at a glance.  Gated benchmarks also save their measurements
+as JSON (:func:`write_json`) at the path :func:`bench_path` picks.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
 from typing import List, Optional, Sequence
 
-__all__ = ["format_table", "format_ratio", "Series"]
+__all__ = [
+    "format_table",
+    "format_ratio",
+    "Series",
+    "bench_path",
+    "to_json",
+    "write_json",
+]
 
 
 class Series:
@@ -76,3 +86,30 @@ def format_ratio(numerator: float, denominator: float) -> str:
 def paper_column(values: Sequence[Optional[float]]) -> Series:
     """A column of the paper's reported numbers (None = unreadable)."""
     return Series("paper", list(values))
+
+
+def to_json(result) -> str:
+    """Indented, key-sorted JSON of a result's ``to_dict()`` (or a dict)."""
+    data = result.to_dict() if hasattr(result, "to_dict") else result
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def write_json(result, path) -> None:
+    """Write :func:`to_json` of ``result`` to ``path``, creating parents."""
+    target = pathlib.Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(to_json(result) + "\n")
+
+
+def bench_path(stem: str, quick: bool, out_dir=None) -> pathlib.Path:
+    """Where a gated benchmark saves its measurements.
+
+    A full run refreshes the committed ``BENCH_<stem>.json`` at the
+    repository root; a quick run writes
+    ``bench_reports/BENCH_<stem>_quick.json`` so it never clobbers the
+    committed numbers.  ``out_dir`` redirects either file into it.
+    """
+    name = f"BENCH_{stem}_quick.json" if quick else f"BENCH_{stem}.json"
+    if out_dir is not None:
+        return pathlib.Path(out_dir) / name
+    return pathlib.Path("bench_reports" if quick else ".") / name

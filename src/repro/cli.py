@@ -2,260 +2,120 @@
 
 Usage::
 
-    python -m repro.cli list
+    python -m repro.cli list                 # every command, one line each
     python -m repro.cli fig4
     python -m repro.cli fig5 --quick
     python -m repro.cli all --quick --out bench_reports/
 
-Each command prints the paper-style report (and optionally writes it to a
-file); ``all`` runs every artifact in sequence.
+Every command is one entry of :data:`COMMANDS`: its name, its ``list``
+line and its runner.  The argparse choices, ``list`` and dispatch all
+come from that table, and every command runs one way -- it prints its
+report, ``--out DIR`` also writes the report into ``DIR``, and the exit
+code is 0 on success, 1 when a gate or contract failed and 2 on an
+invalid configuration.
 
-Observability commands (see docs/OBSERVABILITY.md)::
+*Artifacts* -- the figures and tables, the modelled curves and the gated
+benchmarks -- return a result object with ``report()``, and ``all`` runs
+every one of them in sequence.  A gated benchmark also saves its
+measurements as ``BENCH_<stem>.json`` (cryptobench: crypto, batchbench:
+batching, replicate: replication, loadknee: traffic, nearcachebench:
+nearcache, autoscalebench: autoscale):
 
-    python -m repro.cli trace                # per-stage table for one get()
-    python -m repro.cli trace --op put --json
-    python -m repro.cli metrics              # Prometheus text exposition
+* a full run refreshes the committed file at the repository root;
+* ``--quick`` writes ``bench_reports/BENCH_<stem>_quick.json`` instead;
+* ``--out DIR`` puts either file into ``DIR``.
 
-Sharded-cluster command (see docs/SHARDING.md)::
+So ``all --quick`` checks every gate without touching the committed
+numbers, and ``all`` regenerates all of them.  ``--json`` prints a gated
+benchmark's measurements instead of its report.
 
-    python -m repro.cli shard --shards 2 --workload b --ops 2000
-    python -m repro.cli shard --shards 4 --workload a --json
-    python -m repro.cli scaleout --quick     # simulated 1-8 shard curves
+More examples (each subsystem's page under ``docs/`` has the details)::
 
-Crypto-benchmark command (see docs/PERFORMANCE.md)::
-
-    python -m repro.cli cryptobench          # full run -> BENCH_crypto.json
-    python -m repro.cli cryptobench --quick --floor 5   # CI smoke
-    python -m repro.cli cryptobench --json
-
-Batching benchmark (see docs/BATCHING.md)::
-
-    python -m repro.cli batchbench           # full run -> BENCH_batching.json
-    python -m repro.cli batchbench --quick --floor 1.05   # CI smoke
-    python -m repro.cli batchbench --json
-
-Fault-injection commands (see docs/FAULTS.md)::
-
-    python -m repro.cli chaos --seed 7       # seeded chaos + verification
+    python -m repro.cli trace --op put --json        # OBSERVABILITY.md
+    python -m repro.cli metrics                      # Prometheus text
+    python -m repro.cli shard --shards 4 --workload a --json   # SHARDING.md
+    python -m repro.cli cryptobench --json           # PERFORMANCE.md
+    python -m repro.cli batchbench --quick           # BATCHING.md
     python -m repro.cli chaos --seed 7 --schedule drop:0.1,enclave_crash:0.01
-    python -m repro.cli chaos --shards 3 --schedule shard_death:0.02 --json
-    python -m repro.cli faulttail --quick    # modelled retry-cost curves
-
-Replication commands (see docs/REPLICATION.md)::
-
-    python -m repro.cli replica --replicas 2             # failover chaos
-    python -m repro.cli replica --ack-mode async --json  # detected losses
-    python -m repro.cli replicate --quick                # modelled costs
-
-Telemetry commands (see docs/OBSERVABILITY.md)::
-
-    python -m repro.cli health                  # clean windowed SLO report
+    python -m repro.cli replica --ack-mode async --json   # REPLICATION.md
     python -m repro.cli health --slo 'latency:p99<500us'
-    python -m repro.cli flightrec --out bench_reports  # breach -> JSON dump
     python -m repro.cli flightrec --load bench_reports/flightrec.json \\
-        --trace c1-42                           # offline trace replay
-
-Open-loop traffic commands (see docs/TRAFFIC.md)::
-
-    python -m repro.cli traffic                          # steady scenario
-    python -m repro.cli traffic --scenario flash-crowd --shards 2
-    python -m repro.cli traffic --scenario multi-tenant-contention --json
-    python -m repro.cli traffic --rate 3000 --slo 'latency:p99<10ms'
-    python -m repro.cli loadknee --quick                 # knee smoke
-    python -m repro.cli loadknee      # full run -> BENCH_traffic.json
-
-Near-cache commands (see docs/CACHING.md)::
-
-    python -m repro.cli nearcache --cache --offload      # cached scenario
-    python -m repro.cli nearcache --cache --scenario hot-key-storm --json
-    python -m repro.cli nearcachebench --quick           # cache smoke
-    python -m repro.cli nearcachebench  # full run -> BENCH_nearcache.json
-
-Autoscaler commands (see docs/AUTOSCALING.md)::
-
-    python -m repro.cli autoscale                        # elastic flash crowd
-    python -m repro.cli autoscale --max-shards 6 --json
-    python -m repro.cli autoscale --policy 'scale-out:p99>1ms:for=2'
-    python -m repro.cli chaos --shards 3 --replicas 1 --autoscale
-    python -m repro.cli autoscalebench --quick           # elasticity smoke
-    python -m repro.cli autoscalebench  # full run -> BENCH_autoscale.json
+        --trace c1-42                            # offline trace replay
+    python -m repro.cli traffic --scenario flash-crowd --shards 2  # TRAFFIC.md
+    python -m repro.cli nearcache --cache --offload  # CACHING.md
+    python -m repro.cli autoscale --max-shards 6 --json   # AUTOSCALING.md
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import inspect
 import pathlib
 import sys
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
-from repro.bench import experiments
+from repro.bench.report import bench_path, to_json, write_json
+from repro.errors import ConfigurationError, ObservabilityError
 
-__all__ = ["main"]
-
-def _run_scaleout_runner(quick: bool = False):
-    from repro.bench.scaleout import run_scaleout
-
-    return run_scaleout(quick=quick)
+__all__ = ["COMMANDS", "Command", "build_parser", "main"]
 
 
-def _run_faulttail_runner(quick: bool = False):
-    from repro.bench.faulttail import run_faulttail
-
-    return run_faulttail(quick=quick)
-
-
-def _run_replicate_runner(quick: bool = False):
-    from repro.bench.replicate import run_replication
-
-    return run_replication(quick=quick)
+def _save(out_dir, filename: str, text: str, end: str = "\n") -> None:
+    """Write ``text`` to ``out_dir/filename`` when ``--out`` was given."""
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / filename).write_text(text + end)
 
 
-def _run_loadknee_runner(quick: bool = False):
-    from repro.bench.loadknee import run_loadknee
+def _emit(name: str, report, as_json: bool, out_dir, text: str = None) -> str:
+    """Render ``report`` and save it as ``out_dir/<name>.{json,txt}``.
 
-    return run_loadknee(quick=quick)
-
-
-def _run_nearcachebench_runner(quick: bool = False):
-    from repro.bench.nearcache import run_nearcachebench
-
-    return run_nearcachebench(quick=quick)
-
-
-def _run_autoscalebench_runner(quick: bool = False):
-    from repro.bench.autoscale import run_autoscalebench
-
-    return run_autoscalebench(quick=quick)
-
-
-_RUNNERS: Dict[str, Callable] = {
-    "fig1": experiments.run_fig1,
-    "fig4": experiments.run_fig4,
-    "fig5": experiments.run_fig5,
-    "fig6": experiments.run_fig6,
-    "fig7": experiments.run_fig7,
-    "fig8": experiments.run_fig8,
-    "table1": experiments.run_table1,
-    "scaleout": _run_scaleout_runner,
-    "faulttail": _run_faulttail_runner,
-    "replicate": _run_replicate_runner,
-    "loadknee": _run_loadknee_runner,
-    "nearcachebench": _run_nearcachebench_runner,
-    "autoscalebench": _run_autoscalebench_runner,
-}
-
-_DESCRIPTIONS = {
-    "fig1": "crypto decrypt+encrypt throughput vs 40 Gbit RDMA line rate",
-    "fig4": "throughput vs read ratio (YCSB mixes, 32 B, 50 clients)",
-    "fig5": "throughput vs value size, read-only + update-mostly",
-    "fig6": "read-only throughput vs client count (10-100)",
-    "fig7": "get() latency CDFs incl. the EPC-paging run",
-    "fig8": "get() latency breakdown: networking vs server processing",
-    "table1": "EPC working set at 0/1/100k inserted keys",
-    "scaleout": "throughput/latency + EPC working set vs shard count (1-8)",
-    "faulttail": "get() tail latency vs transport fault rate (retry cost)",
-    "replicate": "failover latency + acked-write loss vs replication "
-    "ack mode",
-    "loadknee": "SLO-bounded throughput knee + corrected-vs-uncorrected "
-    "tails per shard topology",
-    "nearcachebench": "near-cache + backup-read-offload knee shift, "
-    "primary-GET shed and state-equivalence gates",
-    "autoscalebench": "elastic-vs-static knee grid, flash-crowd SLO "
-    "recovery, shard-ms dividend + zero-flapping gates",
-}
+    The JSON form is the report's ``to_dict()``; the text form is
+    ``text`` when given, else ``report.report()``.
+    """
+    if as_json:
+        text = to_json(report)
+    elif text is None:
+        text = report.report()
+    _save(out_dir, f"{name}.{'json' if as_json else 'txt'}", text)
+    return text
 
 
 def _run_one(
-    name: str,
-    quick: bool,
+    command: "Command",
+    quick: bool = False,
     out_dir: pathlib.Path = None,
     csv: bool = False,
-) -> "tuple":
-    """Run one registered artifact; returns ``(text, exit_code)``.
+    as_json: bool = False,
+) -> Tuple[str, int]:
+    """Run one artifact; returns ``(text, exit_code)``.
 
-    Artifacts whose results carry gates (``loadknee``,
-    ``nearcachebench``, ``autoscalebench``) surface them through
-    ``exit_code``; everything else exits 0.
+    A gated artifact saves its measurements at :func:`bench_path` and
+    surfaces its verdict through ``exit_code``; everything else exits 0.
     """
-    runner = _RUNNERS[name]
-    if name in ("fig1", "fig8"):
-        result = runner()  # analytic, no quick knob
-    else:
-        result = runner(quick=quick)
-    text = result.report()
-    if name == "replicate":
-        # Like cryptobench: the full run refreshes the committed
-        # measurement file, the quick run stays out of its way.
-        from repro.bench.replicate import write_json
+    module, _, function = command.artifact.rpartition(".")
+    result = getattr(importlib.import_module(module), function)(quick=quick)
+    text = None
+    if command.gate is not None:
+        path = bench_path(command.gate, quick, out_dir)
+        write_json(result, path)
+        text = result.report() + f"\n[measurements saved to {path}]"
+    as_json = as_json and command.gate is not None
+    text = _emit(command.name, result, as_json, out_dir, text)
+    if csv and out_dir is not None:
+        from repro.bench.export import has_csv, to_csv
 
-        json_name = (
-            "BENCH_replication_quick.json" if quick
-            else "BENCH_replication.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if name == "loadknee":
-        from repro.bench.loadknee import write_json
-
-        json_name = (
-            "BENCH_traffic_quick.json" if quick else "BENCH_traffic.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if name == "nearcachebench":
-        from repro.bench.nearcache import write_json
-
-        json_name = (
-            "BENCH_nearcache_quick.json" if quick
-            else "BENCH_nearcache.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if name == "autoscalebench":
-        from repro.bench.autoscale import write_json
-
-        json_name = (
-            "BENCH_autoscale_quick.json" if quick
-            else "BENCH_autoscale.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{name}.txt").write_text(text + "\n")
-        if csv:
-            from repro.bench.export import to_csv
-
-            (out_dir / f"{name}.csv").write_text(to_csv(result))
-    return text, getattr(result, "exit_code", 0)
+        if has_csv(result):
+            _save(out_dir, f"{command.name}.csv", to_csv(result), end="")
+    # The trailing blank line keeps the reports apart under 'all'.
+    return text + "\n", getattr(result, "exit_code", 0)
 
 
 def _obs_workload(op: str, value_size: int, ops: int):
-    """Run a small in-process workload; return (client, traced ops)."""
+    """Run a small in-process workload; return the client."""
     from repro.core.client import PrecursorClient
     from repro.core.server import PrecursorServer
     from repro.rdma.fabric import Fabric
@@ -278,7 +138,7 @@ def run_trace(
     value_size: int = 128,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> str:
+) -> Tuple[str, int]:
     """One traced operation against an in-process server; render it."""
     from repro.obs.exporters import stage_latency_table, traces_to_json_lines
 
@@ -290,11 +150,8 @@ def run_trace(
         text = stage_latency_table(
             traces, title=f"Per-stage latency: {op}({value_size} B value)"
         )
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "jsonl" if as_json else "txt"
-        (out_dir / f"trace.{suffix}").write_text(text + "\n")
-    return text
+    _save(out_dir, f"trace.{'jsonl' if as_json else 'txt'}", text)
+    return text, 0
 
 
 def run_metrics(
@@ -302,16 +159,26 @@ def run_metrics(
     value_size: int = 128,
     ops: int = 32,
     out_dir: pathlib.Path = None,
-) -> str:
+) -> Tuple[str, int]:
     """Short in-process workload; dump the metrics registry."""
     from repro.obs.exporters import prometheus_text
 
     client = _obs_workload(op, value_size, ops=ops)
     text = prometheus_text(client.obs.registry)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.prom").write_text(text)
-    return text.rstrip("\n")
+    _save(out_dir, "metrics.prom", text, end="")
+    return text.rstrip("\n"), 0
+
+
+def run_scorecard_cmd(
+    quick: bool = False, out_dir: pathlib.Path = None
+) -> Tuple[str, int]:
+    """Every paper claim with its verdict; exit 1 if any claim fails."""
+    from repro.bench.scorecard import run_scorecard
+
+    result = run_scorecard(quick=quick)
+    text = result.report()
+    _save(out_dir, "scorecard.txt", text)
+    return text, 0 if result.passed == result.total else 1
 
 
 def run_shard(
@@ -321,7 +188,7 @@ def run_shard(
     seed: int = 11,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> str:
+) -> Tuple[str, int]:
     """Functional sharded run: real crypto, routing and live migration.
 
     Stands up ``shards`` servers behind a consistent-hash map, drives a
@@ -329,10 +196,8 @@ def run_shard(
     joins one more shard live and re-reads a sample of keys through the
     (now stale) router to exercise the epoch-retry protocol.
     """
-    import json
     from dataclasses import replace as dc_replace
 
-    from repro.errors import ConfigurationError
     from repro.shard import ShardedCluster, ShardedClient
     from repro.ycsb.driver import WorkloadDriver
     from repro.ycsb.generator import make_key
@@ -347,8 +212,6 @@ def run_shard(
         raise ConfigurationError(
             f"--shards must be in [1, 64], got {shards}"
         )
-    if ops < 1:
-        raise ConfigurationError(f"--ops must be positive, got {ops}")
 
     # Pure-Python crypto runs at a few hundred ops/s; keep the resident
     # set proportional to the request count so the command stays snappy.
@@ -385,38 +248,30 @@ def run_shard(
         "stale_retries": client.stale_retries,
         "integrity_failures": client.integrity_failures,
     }
-    if as_json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        counts = ", ".join(
-            f"{name}={count}" for name, count in payload["key_counts"].items()
-        )
-        lines = [
-            f"Sharded functional run: YCSB {workload.upper()}, "
-            f"{shards} shard(s), {ops} ops, {records} records",
-            "-" * 64,
-            f"throughput      {payload['ops_per_second']:>10} ops/s "
-            "(pure-Python crypto; see 'scaleout' for modelled numbers)",
-            f"latency p50     {payload['p50_us']:>10} us",
-            f"latency p99     {payload['p99_us']:>10} us",
-            f"reads/updates   {run.reads}/{run.updates} "
-            f"({run.misses} misses)",
-            "-" * 64,
-            f"live join       shard-{shards} joined: "
-            f"{report.total_moved} entries migrated sealed "
-            f"({report.payload_bytes} payload bytes), "
-            f"epoch {before_epoch} -> {cluster.epoch}",
-            f"stale retries   {payload['stale_retries']} "
-            f"(router re-routed after the epoch bump)",
-            f"integrity       {payload['integrity_failures']} MAC failures",
-            f"key placement   {counts}",
-        ]
-        text = "\n".join(lines)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"shard.{suffix}").write_text(text + "\n")
-    return text
+    counts = ", ".join(
+        f"{name}={count}" for name, count in payload["key_counts"].items()
+    )
+    lines = [
+        f"Sharded functional run: YCSB {workload.upper()}, "
+        f"{shards} shard(s), {ops} ops, {records} records",
+        "-" * 64,
+        f"throughput      {payload['ops_per_second']:>10} ops/s "
+        "(pure-Python crypto; see 'scaleout' for modelled numbers)",
+        f"latency p50     {payload['p50_us']:>10} us",
+        f"latency p99     {payload['p99_us']:>10} us",
+        f"reads/updates   {run.reads}/{run.updates} "
+        f"({run.misses} misses)",
+        "-" * 64,
+        f"live join       shard-{shards} joined: "
+        f"{report.total_moved} entries migrated sealed "
+        f"({report.payload_bytes} payload bytes), "
+        f"epoch {before_epoch} -> {cluster.epoch}",
+        f"stale retries   {payload['stale_retries']} "
+        f"(router re-routed after the epoch bump)",
+        f"integrity       {payload['integrity_failures']} MAC failures",
+        f"key placement   {counts}",
+    ]
+    return _emit("shard", payload, as_json, out_dir, "\n".join(lines)), 0
 
 
 def run_chaos_cmd(
@@ -430,8 +285,8 @@ def run_chaos_cmd(
     out_dir: pathlib.Path = None,
     out_name: str = "chaos",
     autoscale: bool = False,
-    autoscale_policy: str = None,
-) -> "tuple":
+    policy: str = None,
+) -> Tuple[str, int]:
     """Seeded chaos run; returns ``(text, exit_code)``.
 
     Exit code 0 means every fault was recovered and the final store state
@@ -441,10 +296,9 @@ def run_chaos_cmd(
     promotion is itself a contract violation, so client-detected losses
     and group-reported lost records also flip the exit code.  With
     ``autoscale`` the elastic controller runs live during the schedule
-    (``docs/AUTOSCALING.md``) and any flapping also forces exit 1.
+    under ``policy`` (``docs/AUTOSCALING.md``) and any flapping also
+    forces exit 1.
     """
-    import json
-
     from repro.faults import run_chaos
 
     report = run_chaos(
@@ -455,78 +309,68 @@ def run_chaos_cmd(
         replicas=replicas,
         ack_mode=ack_mode,
         autoscale=autoscale,
-        autoscale_policy=autoscale_policy,
+        autoscale_policy=policy,
     )
     contract_broken = (
         replicas > 0
         and ack_mode in ("sync", "semi-sync")
         and (report.losses_detected > 0 or report.lost_records > 0)
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        counts = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(report.fault_counts.items())
-        ) or "none"
-        outcome_line = ", ".join(
-            f"{name}={count}"
-            for name, count in sorted(report.outcomes.items())
+    counts = ", ".join(
+        f"{kind}={count}"
+        for kind, count in sorted(report.fault_counts.items())
+    ) or "none"
+    outcome_line = ", ".join(
+        f"{name}={count}"
+        for name, count in sorted(report.outcomes.items())
+    )
+    if report.shards and replicas:
+        mode = (
+            f"{report.shards} shards x {replicas + 1} replicas, "
+            f"{ack_mode}"
         )
-        if report.shards and replicas:
-            mode = (
-                f"{report.shards} shards x {replicas + 1} replicas, "
-                f"{ack_mode}"
-            )
-        elif report.shards:
-            mode = f"{report.shards} shards"
-        else:
-            mode = "single server"
-        if contract_broken:
-            verdict = (
-                f"VIOLATIONS: {ack_mode} group lost acked writes "
-                f"(lost_records={report.lost_records}, "
-                f"detected={report.losses_detected})"
-            )
-        elif report.ok:
-            verdict = "OK: store matches shadow model"
-        else:
-            verdict = f"VIOLATIONS: {report.violations}"
-        lines = [
-            f"Chaos run: seed={report.seed} schedule='{report.schedule}' "
-            f"({report.ops} ops, {mode})",
-            "-" * 68,
-            f"faults injected   {sum(report.fault_counts.values())} "
-            f"({counts})",
-            f"outcomes          {outcome_line}",
-            f"recoveries        retries={report.retries} "
-            f"reconnects={report.reconnects} "
-            f"failovers={report.failovers} "
-            f"crash_restarts={report.crash_restarts} "
-            f"promotions={report.promotions}",
-            f"tamper detected   {report.tamper_detected}",
-            f"losses            acked records lost={report.lost_records}, "
-            f"client-detected={report.losses_detected}",
-            f"fault fingerprint {report.fault_fingerprint[:16]}...",
-            f"state digest      {report.state_digest[:16]}...",
-        ]
-        if report.autoscale:
-            lines.append(
-                f"autoscale         decisions={report.autoscale_decisions} "
-                f"applied={report.autoscale_applied} "
-                f"flapping={report.autoscale_flapping}"
-            )
-        lines.append(f"verdict           {verdict}")
-        text = "\n".join(lines)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"{out_name}.{suffix}").write_text(text + "\n")
-        if report.flight_dump is not None:
-            (out_dir / f"{out_name}_flight.json").write_text(
-                json.dumps(report.flight_dump, indent=2, sort_keys=True)
-                + "\n"
-            )
+    elif report.shards:
+        mode = f"{report.shards} shards"
+    else:
+        mode = "single server"
+    if contract_broken:
+        verdict = (
+            f"VIOLATIONS: {ack_mode} group lost acked writes "
+            f"(lost_records={report.lost_records}, "
+            f"detected={report.losses_detected})"
+        )
+    elif report.ok:
+        verdict = "OK: store matches shadow model"
+    else:
+        verdict = f"VIOLATIONS: {report.violations}"
+    lines = [
+        f"Chaos run: seed={report.seed} schedule='{report.schedule}' "
+        f"({report.ops} ops, {mode})",
+        "-" * 68,
+        f"faults injected   {sum(report.fault_counts.values())} "
+        f"({counts})",
+        f"outcomes          {outcome_line}",
+        f"recoveries        retries={report.retries} "
+        f"reconnects={report.reconnects} "
+        f"failovers={report.failovers} "
+        f"crash_restarts={report.crash_restarts} "
+        f"promotions={report.promotions}",
+        f"tamper detected   {report.tamper_detected}",
+        f"losses            acked records lost={report.lost_records}, "
+        f"client-detected={report.losses_detected}",
+        f"fault fingerprint {report.fault_fingerprint[:16]}...",
+        f"state digest      {report.state_digest[:16]}...",
+    ]
+    if report.autoscale:
+        lines.append(
+            f"autoscale         decisions={report.autoscale_decisions} "
+            f"applied={report.autoscale_applied} "
+            f"flapping={report.autoscale_flapping}"
+        )
+    lines.append(f"verdict           {verdict}")
+    text = _emit(out_name, report, as_json, out_dir, "\n".join(lines))
+    if report.flight_dump is not None:
+        _save(out_dir, f"{out_name}_flight.json", to_json(report.flight_dump))
     code = report.exit_code
     if contract_broken and code == 0:
         code = 1
@@ -544,7 +388,7 @@ def run_replica_cmd(
     ack_mode: str = "sync",
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> "tuple":
+) -> Tuple[str, int]:
     """Replicated failover chaos run; returns ``(text, exit_code)``.
 
     A thin front-end over the chaos harness with replication-shaped
@@ -555,7 +399,6 @@ def run_replica_cmd(
     client, none silent); 1 means it did not; 2 means the configuration
     was invalid.
     """
-    from repro.errors import ConfigurationError
     from repro.replica import ACK_MODES
 
     if replicas < 1:
@@ -592,7 +435,7 @@ def run_health_cmd(
     slo: str = None,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> "tuple":
+) -> Tuple[str, int]:
     """Deterministic cluster health run; returns ``(text, exit_code)``.
 
     Drives a seeded sharded workload with modelled service latency,
@@ -602,8 +445,6 @@ def run_health_cmd(
     least one rule breached (the report names the offending shard with
     its windowed percentile evidence).
     """
-    import json
-
     from repro.faults import run_health
 
     report = run_health(
@@ -618,15 +459,7 @@ def run_health_cmd(
         schedule=schedule,
         slo=slo,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"health.{suffix}").write_text(text + "\n")
-    return text, report.exit_code
+    return _emit("health", report, as_json, out_dir), report.exit_code
 
 
 def run_flightrec_cmd(
@@ -641,9 +474,8 @@ def run_flightrec_cmd(
     slo: str = None,
     load: pathlib.Path = None,
     trace_id: str = None,
-    as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> "tuple":
+) -> Tuple[str, int]:
     """Flight-recorder demo / offline reader; returns ``(text, exit_code)``.
 
     Without ``--load``, runs the breach scenario (hot shard plus a wire
@@ -658,16 +490,17 @@ def run_flightrec_cmd(
     contexts.  Exit code 0 on a valid dump, 2 on unreadable/invalid
     input or an unknown trace id.
     """
-    import json
-
     from repro.faults import run_health
     from repro.obs import FlightRecorder
 
     if load is not None:
-        dump = FlightRecorder.load(str(load))
-        FlightRecorder.validate(dump)
-        if trace_id is not None:
-            return FlightRecorder.render_trace(dump, trace_id), 0
+        try:
+            dump = FlightRecorder.load(str(load))
+            FlightRecorder.validate(dump)
+            if trace_id is not None:
+                return FlightRecorder.render_trace(dump, trace_id), 0
+        except ObservabilityError as exc:  # bad input, not a tracing bug
+            raise ConfigurationError(str(exc)) from exc
         trigger = dump["trigger"]
         traces = [c.get("trace_id") for c in dump["contexts"]]
         lines = [
@@ -699,92 +532,11 @@ def run_flightrec_cmd(
             1,
         )
     FlightRecorder.validate(report.dump)
-    text = json.dumps(report.dump, indent=2, sort_keys=True)
+    text = to_json(report.dump)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "flightrec.json").write_text(text + "\n")
+        _save(out_dir, "flightrec.json", text)
         text += f"\n[flight dump saved to {out_dir / 'flightrec.json'}]"
     return text, 0
-
-
-def run_cryptobench_cmd(
-    quick: bool = False,
-    floor: float = 5.0,
-    as_json: bool = False,
-    out_dir: pathlib.Path = None,
-) -> "tuple":
-    """Wall-clock crypto benchmark; returns ``(text, exit_code)``.
-
-    Measurements land in ``BENCH_crypto.json`` (full run, repo root) or
-    ``bench_reports/BENCH_crypto_quick.json`` (quick run) -- the quick
-    path is separate so CI smoke runs never clobber the committed full
-    trajectory.  ``--out DIR`` redirects either file into ``DIR``.
-    Exit code 0 when cross-engine parity held and every speedup floor
-    was met; 1 otherwise.
-    """
-    import json
-
-    from repro.bench.cryptobench import run_cryptobench, write_json
-    from repro.errors import ConfigurationError
-
-    if floor < 0:
-        raise ConfigurationError(
-            f"--floor must be non-negative, got {floor}"
-        )
-    result = run_cryptobench(quick=quick, floor=floor)
-    name = "BENCH_crypto_quick.json" if quick else "BENCH_crypto.json"
-    if out_dir is not None:
-        path = out_dir / name
-    elif quick:
-        path = pathlib.Path("bench_reports") / name
-    else:
-        path = pathlib.Path(name)
-    write_json(result, path)
-    if as_json:
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = result.report() + f"\n[measurements saved to {path}]"
-    return text, result.exit_code
-
-
-def run_batchbench_cmd(
-    quick: bool = False,
-    floor: float = 1.3,
-    as_json: bool = False,
-    out_dir: pathlib.Path = None,
-) -> "tuple":
-    """Batched-pipeline benchmark; returns ``(text, exit_code)``.
-
-    Measurements land in ``BENCH_batching.json`` (full run, repo root)
-    or ``bench_reports/BENCH_batching_quick.json`` (quick run) -- same
-    split as cryptobench, so CI smoke runs never clobber the committed
-    full trajectory.  Exit code 0 when the K=0/K=1/K=16
-    behavioural-identity gate held and the K=16 speedup floor was met;
-    1 otherwise.
-    """
-    import json
-
-    from repro.bench.batching import run_batchbench, write_json
-    from repro.errors import ConfigurationError
-
-    if floor < 0:
-        raise ConfigurationError(
-            f"--floor must be non-negative, got {floor}"
-        )
-    result = run_batchbench(quick=quick, floor=floor)
-    name = "BENCH_batching_quick.json" if quick else "BENCH_batching.json"
-    if out_dir is not None:
-        path = out_dir / name
-    elif quick:
-        path = pathlib.Path("bench_reports") / name
-    else:
-        path = pathlib.Path(name)
-    write_json(result, path)
-    if as_json:
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = result.report() + f"\n[measurements saved to {path}]"
-    return text, result.exit_code
 
 
 def run_traffic_cmd(
@@ -799,7 +551,7 @@ def run_traffic_cmd(
     slo: str = None,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> "tuple":
+) -> Tuple[str, int]:
     """Open-loop scenario run; returns ``(text, exit_code)``.
 
     Runs one named scenario from the registry
@@ -810,8 +562,6 @@ def run_traffic_cmd(
     the configuration was invalid (unknown scenario, bad SLO spec, bad
     fault schedule).
     """
-    import json
-
     from repro.traffic import run_scenario
 
     report = run_scenario(
@@ -825,15 +575,7 @@ def run_traffic_cmd(
         schedule=schedule,
         slo=slo,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"traffic.{suffix}").write_text(text + "\n")
-    return text, report.exit_code
+    return _emit("traffic", report, as_json, out_dir), report.exit_code
 
 
 def run_nearcache_cmd(
@@ -847,10 +589,10 @@ def run_nearcache_cmd(
     cache: bool = False,
     offload: bool = False,
     cache_entries: int = 256,
-    cache_lease_ms: float = 25.0,
+    lease_ms: float = 25.0,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> "tuple":
+) -> Tuple[str, int]:
     """Open-loop scenario with the near-cache; returns ``(text, exit_code)``.
 
     A front-end over :func:`~repro.traffic.scenarios.run_scenario` that
@@ -863,9 +605,6 @@ def run_nearcache_cmd(
     including asking for neither feature (use 'traffic' for that) or
     for ``--offload`` without any backups to offload onto.
     """
-    import json
-
-    from repro.errors import ConfigurationError
     from repro.traffic import run_scenario
 
     if not cache and not offload:
@@ -889,17 +628,9 @@ def run_nearcache_cmd(
         near_cache=cache,
         read_offload=offload,
         cache_entries=cache_entries,
-        cache_lease_ms=cache_lease_ms,
+        cache_lease_ms=lease_ms,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"nearcache.{suffix}").write_text(text + "\n")
-    return text, report.exit_code
+    return _emit("nearcache", report, as_json, out_dir), report.exit_code
 
 
 def run_autoscale_cmd(
@@ -915,7 +646,7 @@ def run_autoscale_cmd(
     slo: str = None,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> "tuple":
+) -> Tuple[str, int]:
     """Open-loop scenario with the autoscaler; returns ``(text, exit_code)``.
 
     A front-end over :func:`~repro.traffic.scenarios.run_scenario` that
@@ -931,9 +662,6 @@ def run_autoscale_cmd(
     observed flapping; 2 means the configuration was invalid (unknown
     scenario, malformed policy spec, bad bounds).
     """
-    import json
-
-    from repro.errors import ConfigurationError
     from repro.traffic import run_scenario
 
     if max_shards < shards:
@@ -953,19 +681,238 @@ def run_autoscale_cmd(
         autoscale_policy=policy,
         autoscale_max_shards=max_shards,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"autoscale.{suffix}").write_text(text + "\n")
+    text = _emit("autoscale", report, as_json, out_dir)
     code = report.exit_code
     summary = report.autoscale_summary or {}
     if summary.get("flapping", 0) and code == 0:
         code = 1
     return text, code
+
+
+def _list() -> Tuple[str, int]:
+    """One aligned line per command."""
+    width = max(len(command.name) for command in COMMANDS)
+    return "\n".join(
+        f"{command.name:<{width}}  {command.description}"
+        for command in COMMANDS
+    ), 0
+
+
+def _all(
+    quick: bool = False,
+    out_dir: pathlib.Path = None,
+    csv: bool = False,
+    as_json: bool = False,
+) -> Tuple[str, int]:
+    """Every artifact in table order; the worst exit code wins."""
+    texts, worst = [], 0
+    for command in COMMANDS:
+        if command.artifact is not None:
+            text, code = _run_one(command, quick, out_dir, csv, as_json)
+            texts.append(text)
+            worst = max(worst, code)
+    return "\n".join(texts), worst
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command; the only place its name is registered.
+
+    ``run`` is a function returning ``(text, exit_code)`` whose keyword
+    parameters are bound from the parsed options of the same name; an
+    option left unset keeps the parameter's default, so each command's
+    defaults live in its signature.  An
+    *artifact* names instead the dotted path of a ``run_*(quick=...)``
+    function whose result has ``report()``; ``all`` runs every artifact.
+    An artifact with a ``gate`` stem saves ``BENCH_<gate>.json`` and
+    exits with its result's ``exit_code``.
+    """
+
+    name: str
+    description: str
+    run: Optional[Callable[..., Tuple[str, int]]] = None
+    artifact: Optional[str] = None
+    gate: Optional[str] = None
+
+    def execute(self, args: argparse.Namespace) -> Tuple[str, int]:
+        """Run with the options in ``args``; returns ``(text, exit_code)``."""
+        run = self.run or functools.partial(_run_one, self)
+        kwargs = {}
+        for param in inspect.signature(run).parameters:
+            value = getattr(args, _OPTION_FOR.get(param, param), None)
+            if value is not None:
+                kwargs[param] = value
+        return run(**kwargs)
+
+
+#: Runner parameters whose command-line option has another name.
+_OPTION_FOR = {"as_json": "json", "out_dir": "out", "trace_id": "trace"}
+
+_EXPERIMENTS = "repro.bench.experiments."
+
+COMMANDS: Tuple[Command, ...] = (
+    Command(
+        "autoscalebench",
+        "elastic-vs-static knee grid, flash-crowd SLO recovery, shard-ms "
+        "dividend + zero-flapping gates",
+        artifact="repro.bench.autoscale.run_autoscalebench",
+        gate="autoscale",
+    ),
+    Command(
+        "faulttail",
+        "get() tail latency vs transport fault rate (retry cost)",
+        artifact="repro.bench.faulttail.run_faulttail",
+    ),
+    Command(
+        "fig1",
+        "crypto decrypt+encrypt throughput vs 40 Gbit RDMA line rate",
+        artifact=_EXPERIMENTS + "run_fig1",
+    ),
+    Command(
+        "fig4",
+        "throughput vs read ratio (YCSB mixes, 32 B, 50 clients)",
+        artifact=_EXPERIMENTS + "run_fig4",
+    ),
+    Command(
+        "fig5",
+        "throughput vs value size, read-only + update-mostly",
+        artifact=_EXPERIMENTS + "run_fig5",
+    ),
+    Command(
+        "fig6",
+        "read-only throughput vs client count (10-100)",
+        artifact=_EXPERIMENTS + "run_fig6",
+    ),
+    Command(
+        "fig7",
+        "get() latency CDFs incl. the EPC-paging run",
+        artifact=_EXPERIMENTS + "run_fig7",
+    ),
+    Command(
+        "fig8",
+        "get() latency breakdown: networking vs server processing",
+        artifact=_EXPERIMENTS + "run_fig8",
+    ),
+    Command(
+        "loadknee",
+        "SLO-bounded throughput knee + corrected-vs-uncorrected tails per "
+        "shard topology",
+        artifact="repro.bench.loadknee.run_loadknee",
+        gate="traffic",
+    ),
+    Command(
+        "nearcachebench",
+        "near-cache + backup-read-offload knee shift, primary-GET shed and "
+        "state-equivalence gates",
+        artifact="repro.bench.nearcache.run_nearcachebench",
+        gate="nearcache",
+    ),
+    Command(
+        "replicate",
+        "failover latency + acked-write loss vs replication ack mode",
+        artifact="repro.bench.replicate.run_replication",
+        gate="replication",
+    ),
+    Command(
+        "scaleout",
+        "throughput/latency + EPC working set vs shard count (1-8)",
+        artifact="repro.bench.scaleout.run_scaleout",
+    ),
+    Command(
+        "table1",
+        "EPC working set at 0/1/100k inserted keys",
+        artifact=_EXPERIMENTS + "run_table1",
+    ),
+    Command(
+        "scorecard",
+        "pass/fail verdict on every paper claim",
+        run=run_scorecard_cmd,
+    ),
+    Command(
+        "trace",
+        "per-stage span breakdown of one live operation",
+        run=run_trace,
+    ),
+    Command(
+        "metrics",
+        "Prometheus-style dump of the metrics registry",
+        run=run_metrics,
+    ),
+    Command(
+        "shard",
+        "functional sharded run: routing, live join, epoch retry",
+        run=run_shard,
+    ),
+    Command(
+        "chaos",
+        "seeded fault-injection run with shadow-model verification",
+        run=run_chaos_cmd,
+    ),
+    Command(
+        "cryptobench",
+        "wall-clock reference-vs-fast crypto engine benchmark",
+        artifact="repro.bench.cryptobench.run_cryptobench",
+        gate="crypto",
+    ),
+    Command(
+        "batchbench",
+        "serial-vs-batched request pipeline benchmark (K-frame drain)",
+        artifact="repro.bench.batching.run_batchbench",
+        gate="batching",
+    ),
+    Command(
+        "replica",
+        "replicated failover chaos run (promotion + client loss detection)",
+        run=run_replica_cmd,
+    ),
+    Command(
+        "health",
+        "windowed SLO report over a deterministic cluster run",
+        run=run_health_cmd,
+    ),
+    Command(
+        "flightrec",
+        "breach-triggered flight-recorder dump (or --load to replay one)",
+        run=run_flightrec_cmd,
+    ),
+    Command(
+        "traffic",
+        "open-loop scenario run with coordinated-omission-corrected tails",
+        run=run_traffic_cmd,
+    ),
+    Command(
+        "nearcache",
+        "open-loop scenario with the client-verified near-cache / "
+        "backup-read offload",
+        run=run_nearcache_cmd,
+    ),
+    Command(
+        "autoscale",
+        "open-loop scenario with the SLO-driven elastic control plane live",
+        run=run_autoscale_cmd,
+    ),
+    Command(
+        "all",
+        "every artifact and gated benchmark above, in order",
+        run=_all,
+    ),
+    Command("list", "this list", run=_list),
+)
+
+_BY_NAME = {command.name: command for command in COMMANDS}
+
+#: Numeric options and their smallest accepted value, checked centrally.
+_MINIMUMS = (("ops", 1), ("window", 1), ("tick_every", 1), ("value_size", 0))
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric options before any command runs."""
+    for dest, low in _MINIMUMS:
+        value = getattr(args, dest)
+        if value is not None and value < low:
+            raise ConfigurationError(
+                f"--{dest.replace('_', '-')} must be >= {low}, got {value}"
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -976,29 +923,14 @@ def build_parser() -> argparse.ArgumentParser:
             "Regenerate the evaluation artifacts of 'Precursor' "
             "(Middleware '21)."
         ),
+        epilog="commands:\n" + _list()[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "artifact",
-        choices=sorted(_RUNNERS)
-        + ["all", "list", "scorecard", "trace", "metrics", "shard",
-           "chaos", "cryptobench", "batchbench", "replica", "health",
-           "flightrec", "traffic", "nearcache", "autoscale"],
-        help="which figure/table to regenerate ('all' for everything, "
-        "'list' to enumerate, 'scorecard' for pass/fail vs the paper, "
-        "'trace'/'metrics' to exercise the observability subsystem, "
-        "'shard' for a functional sharded-cluster run, 'chaos' for a "
-        "seeded fault-injection run with shadow verification, "
-        "'cryptobench' for the wall-clock reference-vs-fast crypto "
-        "benchmark, 'batchbench' for the serial-vs-batched request "
-        "pipeline benchmark, 'replica' for a replicated failover chaos "
-        "run, "
-        "'health' for a windowed SLO report over a deterministic "
-        "cluster run, 'flightrec' to produce or replay a "
-        "flight-recorder dump, 'traffic' for an open-loop scenario "
-        "with coordinated-omission-corrected tails, 'nearcache' for the "
-        "same with the client-verified near-cache and/or backup-read "
-        "offload enabled, 'autoscale' for the same with the SLO-driven "
-        "elastic control plane live)",
+        choices=list(_BY_NAME),
+        metavar="COMMAND",
+        help="the command to run (all of them are listed below)",
     )
     parser.add_argument(
         "--quick",
@@ -1010,13 +942,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=pathlib.Path,
         default=None,
         metavar="DIR",
-        help="also write each report to DIR/<artifact>.txt",
+        help="also write each report to DIR/<command>.<suffix>",
     )
     parser.add_argument(
         "--csv",
         action="store_true",
         help="with --out: additionally write DIR/<artifact>.csv "
-        "(plot-ready data)",
+        "(plot-ready data) for every artifact with a CSV form",
     )
     obs = parser.add_argument_group("observability (trace/metrics only)")
     obs.add_argument(
@@ -1037,13 +969,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="workload size for the 'metrics' (default: 32) and 'shard' "
-        "(default: 1000) commands",
+        help="workload size, at least 1 (default: each command's own, "
+        "e.g. 32 for 'metrics' and 1000 for 'shard')",
     )
     obs.add_argument(
         "--json",
         action="store_true",
-        help="with 'trace'/'shard': emit JSON instead of the text report",
+        help="emit JSON instead of the text report (commands with a JSON "
+        "form and every gated benchmark)",
     )
     shard = parser.add_argument_group("sharding ('shard'/'chaos')")
     shard.add_argument(
@@ -1067,18 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="deterministic seed for ring placement + workload "
         "(default: 11)",
-    )
-    bench = parser.add_argument_group(
-        "benchmarks ('cryptobench'/'batchbench')"
-    )
-    bench.add_argument(
-        "--floor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="minimum accepted speedup: fast/reference on the 4 KiB "
-        "crypto checkpoints for 'cryptobench' (default: 5.0), K=16 over "
-        "K=1 for 'batchbench' (default: 1.3); exit code 1 below it",
     )
     chaos = parser.add_argument_group("fault injection ('chaos'/'replica')")
     chaos.add_argument(
@@ -1127,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=40,
         metavar="N",
-        help="publish a telemetry snapshot every N operations "
+        help="publish a telemetry snapshot every N >= 1 operations "
         "(default: 40)",
     )
     health.add_argument(
@@ -1135,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="T",
-        help="sliding-window width in ticks for the per-shard "
+        help="sliding-window width in ticks (>= 1) for the per-shard "
         "aggregates (default: 3)",
     )
     health.add_argument(
@@ -1229,295 +1150,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.artifact == "list":
-        for name in sorted(_RUNNERS):
-            print(f"{name:8s} {_DESCRIPTIONS[name]}")
-        print("scorecard  pass/fail verdict on every paper claim")
-        print("trace      per-stage span breakdown of one live operation")
-        print("metrics    Prometheus-style dump of the metrics registry")
-        print("shard      functional sharded run: routing, live join, "
-              "epoch retry")
-        print("chaos      seeded fault-injection run with shadow-model "
-              "verification")
-        print("cryptobench  wall-clock reference-vs-fast crypto engine "
-              "benchmark")
-        print("batchbench  serial-vs-batched request pipeline benchmark "
-              "(K-frame drain)")
-        print("replica    replicated failover chaos run (promotion + "
-              "client loss detection)")
-        print("health     windowed SLO report over a deterministic "
-              "cluster run")
-        print("flightrec  breach-triggered flight-recorder dump "
-              "(or --load to replay one)")
-        print("traffic    open-loop scenario run with "
-              "coordinated-omission-corrected tails")
-        print("nearcache  open-loop scenario with the client-verified "
-              "near-cache / backup-read offload")
-        print("autoscale  open-loop scenario with the SLO-driven "
-              "elastic control plane live")
-        return 0
-    if args.artifact in ("trace", "metrics") and args.value_size < 0:
-        print(
-            f"error: --value-size must be non-negative, got {args.value_size}",
-            file=sys.stderr,
-        )
+    try:
+        _check_options(args)
+        text, code = _BY_NAME[args.artifact].execute(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.artifact == "trace":
-        print(
-            run_trace(
-                op=args.op,
-                value_size=args.value_size,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        )
-        return 0
-    if args.artifact == "metrics":
-        print(
-            run_metrics(
-                op=args.op,
-                value_size=args.value_size,
-                ops=args.ops if args.ops is not None else 32,
-                out_dir=args.out,
-            )
-        )
-        return 0
-    if args.artifact == "shard":
-        from repro.errors import ConfigurationError
-
-        try:
-            text = run_shard(
-                shards=args.shards if args.shards is not None else 2,
-                workload=args.workload,
-                ops=args.ops if args.ops is not None else 1000,
-                seed=args.seed,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return 0
-    if args.artifact == "chaos":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_chaos_cmd(
-                seed=args.seed,
-                schedule=args.schedule
-                if args.schedule is not None
-                else "drop:0.05,duplicate:0.05,delay:0.05,qp_error:0.02",
-                ops=args.ops if args.ops is not None else 200,
-                shards=args.shards,
-                replicas=args.replicas if args.replicas is not None else 0,
-                ack_mode=args.ack_mode,
-                as_json=args.json,
-                out_dir=args.out,
-                autoscale=args.autoscale,
-                autoscale_policy=args.policy,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "replica":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_replica_cmd(
-                seed=args.seed,
-                schedule=args.schedule
-                if args.schedule is not None
-                else "shard_death:0.05,replica_lag:0.08",
-                ops=args.ops if args.ops is not None else 200,
-                shards=args.shards if args.shards is not None else 3,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "health":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_health_cmd(
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                ops=args.ops if args.ops is not None else 240,
-                tick_every=args.tick_every,
-                window=args.window,
-                hot_shard=args.hot_shard,
-                schedule=args.schedule if args.schedule is not None else "",
-                slo=args.slo,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "flightrec":
-        from repro.errors import ConfigurationError, ObservabilityError
-
-        try:
-            text, code = run_flightrec_cmd(
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ops=args.ops if args.ops is not None else 240,
-                tick_every=args.tick_every,
-                window=args.window,
-                hot_shard=args.hot_shard
-                if args.hot_shard is not None
-                else "auto",
-                schedule=args.schedule
-                if args.schedule is not None
-                else "drop:0.08",
-                slo=args.slo,
-                load=args.load,
-                trace_id=args.trace,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except (ConfigurationError, ObservabilityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "traffic":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_traffic_cmd(
-                scenario=args.scenario
-                if args.scenario is not None
-                else "steady",
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 0,
-                ack_mode=args.ack_mode,
-                rate=args.rate,
-                ops=args.ops,
-                schedule=args.schedule if args.schedule is not None else "",
-                slo=args.slo,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "nearcache":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_nearcache_cmd(
-                scenario=args.scenario
-                if args.scenario is not None
-                else "hot-key-storm",
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                rate=args.rate,
-                ops=args.ops,
-                cache=args.cache,
-                offload=args.offload,
-                cache_entries=args.cache_entries,
-                cache_lease_ms=args.lease_ms,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "autoscale":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_autoscale_cmd(
-                scenario=args.scenario
-                if args.scenario is not None
-                else "flash-crowd",
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 1,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                rate=args.rate,
-                ops=args.ops,
-                policy=args.policy,
-                max_shards=args.max_shards,
-                slo=args.slo,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "cryptobench":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_cryptobench_cmd(
-                quick=args.quick,
-                floor=args.floor if args.floor is not None else 5.0,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "batchbench":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_batchbench_cmd(
-                quick=args.quick,
-                floor=args.floor if args.floor is not None else 1.3,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "scorecard":
-        from repro.bench.scorecard import run_scorecard
-
-        result = run_scorecard(quick=args.quick)
-        print(result.report())
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / "scorecard.txt").write_text(result.report() + "\n")
-        return 0 if result.passed == result.total else 1
-    names = sorted(_RUNNERS) if args.artifact == "all" else [args.artifact]
-    worst = 0
-    for name in names:
-        text, code = _run_one(
-            name, quick=args.quick, out_dir=args.out, csv=args.csv
-        )
-        print(text)
-        print()
-        worst = max(worst, code)
-    return worst
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

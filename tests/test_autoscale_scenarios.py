@@ -123,10 +123,10 @@ class TestCli:
         assert code == 2
 
     def test_autoscalebench_is_registered(self):
-        from repro.cli import _DESCRIPTIONS, _RUNNERS, build_parser
+        from repro.cli import COMMANDS, build_parser
 
-        assert "autoscalebench" in _RUNNERS
-        assert "autoscalebench" in _DESCRIPTIONS
+        gates = {c.name: c.gate for c in COMMANDS if c.artifact}
+        assert gates["autoscalebench"] == "autoscale"
         parser = build_parser()
         args = parser.parse_args(["autoscale", "--max-shards", "6"])
         assert args.max_shards == 6

@@ -91,3 +91,114 @@ class TestExecution:
         data = json.loads(saved.read_text())
         assert data["ok"] is True
         assert "sync/r2" in data["configs"]
+
+
+class TestCommandTable:
+    def test_every_command_is_a_choice_and_listed(self, capsys):
+        from repro.cli import COMMANDS
+
+        parser = build_parser()
+        assert main(["list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        names = [command.name for command in COMMANDS]
+        assert listed == names
+        assert len(set(names)) == len(names)
+        for name in names:
+            assert parser.parse_args([name]).artifact == name
+
+    def test_every_committed_bench_file_has_one_gate(self):
+        from repro.cli import COMMANDS
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        committed = {
+            path.stem[len("BENCH_"):] for path in root.glob("BENCH_*.json")
+        }
+        gates = [c.gate for c in COMMANDS if c.gate is not None]
+        assert sorted(gates) == sorted(committed)
+        assert committed == {
+            "crypto", "batching", "replication", "traffic", "nearcache",
+            "autoscale",
+        }
+        assert all(c.artifact for c in COMMANDS if c.gate)
+
+
+class _FakeFigure:
+    def report(self):
+        return "fake figure"
+
+
+class _FakeGate:
+    def __init__(self, exit_code):
+        self.exit_code = exit_code
+
+    def report(self):
+        return f"fake gate, exit {self.exit_code}"
+
+    def to_dict(self):
+        return {"ok": self.exit_code == 0}
+
+
+class TestAllWithCsv:
+    def test_all_csv_writes_every_figure_csv_and_gate_exit(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """``--csv`` skips results without an exporter instead of crashing."""
+        import importlib
+
+        from repro.bench import export
+        from repro.cli import COMMANDS
+
+        monkeypatch.setitem(
+            export._EXPORTERS, _FakeFigure, lambda result: "x,y\n1,2\n"
+        )
+        artifacts = [c for c in COMMANDS if c.artifact]
+        for command in artifacts:
+            module, _, function = command.artifact.rpartition(".")
+            # One gate fails: 'all' must exit with the gates' worst code.
+            code = 1 if command.name == "loadknee" else 0
+            fake = _FakeGate(code) if command.gate else _FakeFigure()
+            monkeypatch.setattr(
+                importlib.import_module(module),
+                function,
+                lambda quick=False, fake=fake: fake,
+            )
+        assert main(["all", "--quick", "--out", str(tmp_path), "--csv"]) == 1
+        out = capsys.readouterr().out
+        for command in artifacts:
+            assert (tmp_path / f"{command.name}.txt").exists()
+            csv = tmp_path / f"{command.name}.csv"
+            assert csv.exists() == (command.gate is None), command.name
+            if command.gate:
+                assert (tmp_path / f"BENCH_{command.gate}_quick.json").exists()
+        assert out.count("fake figure") == sum(
+            1 for c in artifacts if c.gate is None
+        )
+
+    def test_gated_bench_with_exporter_still_writes_csv(self, tmp_path, capsys):
+        argv = ["replicate", "--quick", "--out", str(tmp_path), "--csv"]
+        assert main(argv) == 0
+        assert (tmp_path / "replicate.csv").read_text().count("\n") > 1
+        assert (tmp_path / "BENCH_replication_quick.json").exists()
+
+
+class TestCentralOptionChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--ops", "-3"],
+            ["chaos", "--ops", "0"],
+            ["replica", "--ops", "-3"],
+            ["metrics", "--ops", "-5"],
+        ],
+    )
+    def test_non_positive_ops_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: --ops must be >= 1" in captured.err
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("command", ["health", "flightrec"])
+    @pytest.mark.parametrize("option", ["--window", "--tick-every"])
+    def test_zero_window_and_tick_exit_2(self, command, option, capsys):
+        assert main([command, option, "0"]) == 2
+        assert f"error: {option} must be >= 1" in capsys.readouterr().err

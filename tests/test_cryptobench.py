@@ -1,8 +1,8 @@
 """Cryptobench harness: result plumbing, floors, CLI wiring.
 
 The real benchmark takes minutes, so these tests drive the harness with
-tiny workloads or stubbed measurement stages; the full run is exercised
-by ``make cryptobench-smoke`` / the CI job instead.
+tiny workloads or stubbed measurement stages; the quick run is exercised
+by ``make gates`` (``python -m repro.cli all --quick``) instead.
 """
 
 import json
@@ -15,8 +15,8 @@ from repro.bench.cryptobench import (
     _bench_primitives,
     _min_time,
     run_cryptobench,
-    write_json,
 )
+from repro.bench.report import write_json
 
 
 class TestMinTime:
@@ -122,35 +122,34 @@ class TestRunWiring:
 
 
 class TestCliWiring:
-    def test_parser_accepts_cryptobench(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["cryptobench", "--quick", "--floor", "7.5"]
-        )
-        assert args.artifact == "cryptobench"
-        assert args.quick and args.floor == 7.5
-
-    def test_negative_floor_exits_2(self, capsys):
+    def test_cmd_writes_json_and_propagates_exit(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import repro.bench.cryptobench as cb
         from repro.cli import main
 
-        assert main(["cryptobench", "--floor", "-1"]) == 2
-        assert "--floor" in capsys.readouterr().err
+        def synthetic(quick, floor=5.0):
+            r = _synthetic(floor=floor)
+            r.quick = quick
+            return r
 
-    def test_cmd_writes_json_and_propagates_exit(self, monkeypatch, tmp_path):
-        import repro.bench.cryptobench as cb
-        from repro.cli import run_cryptobench_cmd
+        monkeypatch.setattr(cb, "run_cryptobench", synthetic)
+        assert main(["cryptobench", "--quick", "--out", str(tmp_path)]) == 0
+        assert "verdict: OK" in capsys.readouterr().out
+        saved = tmp_path / "BENCH_crypto_quick.json"
+        assert json.loads(saved.read_text())["ok"] is True
+        assert "verdict: OK" in (tmp_path / "cryptobench.txt").read_text()
 
-        monkeypatch.setattr(
-            cb, "run_cryptobench",
-            lambda quick, floor: _synthetic(floor=floor))
-        text, code = run_cryptobench_cmd(
-            quick=True, floor=5.0, out_dir=tmp_path)
-        assert code == 0
-        assert (tmp_path / "BENCH_crypto_quick.json").exists()
-        assert "verdict: OK" in text
-        text, code = run_cryptobench_cmd(
-            quick=False, floor=5.0, as_json=True, out_dir=tmp_path)
-        assert code == 0
-        assert json.loads(text)["ok"] is True
+        assert main(["cryptobench", "--json", "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
         assert (tmp_path / "BENCH_crypto.json").exists()
+
+        def too_slow(quick, floor=5.0):
+            r = synthetic(quick, floor)
+            r.floor_failures.append("payload too slow")
+            return r
+
+        monkeypatch.setattr(cb, "run_cryptobench", too_slow)
+        assert main(["cryptobench", "--quick", "--out", str(tmp_path)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert json.loads(saved.read_text())["ok"] is False

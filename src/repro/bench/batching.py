@@ -43,13 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = [
-    "BatchBenchResult",
-    "run_batchbench",
-    "DEFAULT_KS",
-    "FLOOR",
-    "QUICK_FLOOR",
-]
+__all__ = ["BatchBenchResult", "run_batchbench", "DEFAULT_KS"]
 
 #: Batch windows swept by the full benchmark.  16 is the window the
 #: acceptance floor is defined on; 1 is the amortization-free baseline.
@@ -58,8 +52,8 @@ DEFAULT_KS = (1, 4, 16, 64)
 _QUICK_KS = (1, 16)
 
 #: Minimum K=16-over-K=1 speedup on full and on quick runs.
-FLOOR = 1.3
-QUICK_FLOOR = 1.05
+_FLOOR = 1.3
+_QUICK_FLOOR = 1.05
 
 #: Loose run-level SLO for the identity scenarios: the point is byte
 #: identity, not SLO verdicts, so nothing should trip.
@@ -359,21 +353,19 @@ class BatchBenchResult:
 
 def run_batchbench(
     quick: bool = False,
-    floor: Optional[float] = None,
     rounds: Optional[int] = None,
     ops: Optional[int] = None,
 ) -> BatchBenchResult:
     """Run the full (or quick) benchmark; never raises on perf failure.
 
-    ``quick`` shrinks op counts and the K sweep for CI runs; ``floor``
-    is the minimum accepted K=16-over-K=1 speedup on the *better* of the
-    two estimators (min-of-rounds and paired median) -- on a drifting
-    clock either one alone can be unlucky, but a real regression drags
-    both down.  It defaults to :data:`FLOOR`, or :data:`QUICK_FLOOR`
-    with ``quick`` (short runs sit near the timing noise floor).
+    ``quick`` shrinks op counts and the K sweep for CI runs.  The gate
+    is a minimum K=16-over-K=1 speedup (1.3x full, 1.05x quick: short
+    runs sit near the timing noise floor) on the *better* of the two
+    estimators (min-of-rounds and paired median) -- on a drifting clock
+    either one alone can be unlucky, but a real regression drags both
+    down.
     """
-    if floor is None:
-        floor = QUICK_FLOOR if quick else FLOOR
+    floor = _QUICK_FLOOR if quick else _FLOOR
     ks = _QUICK_KS if quick else DEFAULT_KS
     rounds = rounds if rounds is not None else (3 if quick else 5)
     ops = ops if ops is not None else (600 if quick else 2500)

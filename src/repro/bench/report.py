@@ -94,11 +94,16 @@ def to_json(result) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def write_json(result, path) -> None:
-    """Write :func:`to_json` of ``result`` to ``path``, creating parents."""
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent folders."""
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(to_json(result) + "\n")
+    target.write_text(text)
+
+
+def write_json(result, path) -> None:
+    """Write :func:`to_json` of ``result`` to ``path``, creating parents."""
+    write_text(path, to_json(result) + "\n")
 
 
 def bench_path(stem: str, quick: bool, out_dir=None) -> pathlib.Path:

@@ -27,7 +27,8 @@ nearcache, autoscalebench: autoscale):
 
 So ``all --quick`` checks every gate without touching the committed
 numbers, and ``all`` regenerates all of them.  ``--json`` prints a gated
-benchmark's measurements instead of its report.
+benchmark's measurements instead of its report; ``all`` ignores it, so
+its output stays one stream of text reports.
 
 More examples (each subsystem's page under ``docs/`` has the details)::
 
@@ -57,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from repro.bench.report import bench_path, to_json, write_json
+from repro.bench.report import bench_path, to_json, write_json, write_text
 from repro.errors import ConfigurationError, ObservabilityError
 
 __all__ = ["COMMANDS", "Command", "build_parser", "main"]
@@ -66,8 +67,7 @@ __all__ = ["COMMANDS", "Command", "build_parser", "main"]
 def _save(out_dir, filename: str, text: str, end: str = "\n") -> None:
     """Write ``text`` to ``out_dir/filename`` when ``--out`` was given."""
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text + end)
+        write_text(out_dir / filename, text + end)
 
 
 def _emit(name: str, report, as_json: bool, out_dir, text: str = None) -> str:
@@ -369,8 +369,8 @@ def run_chaos_cmd(
         )
     lines.append(f"verdict           {verdict}")
     text = _emit(out_name, report, as_json, out_dir, "\n".join(lines))
-    if report.flight_dump is not None:
-        _save(out_dir, f"{out_name}_flight.json", to_json(report.flight_dump))
+    if report.flight_dump is not None and out_dir is not None:
+        write_json(report.flight_dump, out_dir / f"{out_name}_flight.json")
     code = report.exit_code
     if contract_broken and code == 0:
         code = 1
@@ -534,7 +534,7 @@ def run_flightrec_cmd(
     FlightRecorder.validate(report.dump)
     text = to_json(report.dump)
     if out_dir is not None:
-        _save(out_dir, "flightrec.json", text)
+        write_json(report.dump, out_dir / "flightrec.json")
         text += f"\n[flight dump saved to {out_dir / 'flightrec.json'}]"
     return text, 0
 
@@ -702,13 +702,16 @@ def _all(
     quick: bool = False,
     out_dir: pathlib.Path = None,
     csv: bool = False,
-    as_json: bool = False,
 ) -> Tuple[str, int]:
-    """Every artifact in table order; the worst exit code wins."""
+    """Every artifact in table order; the worst exit code wins.
+
+    The output mixes many reports, so ``--json`` is ignored here (each
+    gate's JSON is still saved at its :func:`bench_path`).
+    """
     texts, worst = [], 0
     for command in COMMANDS:
         if command.artifact is not None:
-            text, code = _run_one(command, quick, out_dir, csv, as_json)
+            text, code = _run_one(command, quick, out_dir, csv)
             texts.append(text)
             worst = max(worst, code)
     return "\n".join(texts), worst
@@ -976,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit JSON instead of the text report (commands with a JSON "
-        "form and every gated benchmark)",
+        "form and every gated benchmark; ignored by 'all')",
     )
     shard = parser.add_argument_group("sharding ('shard'/'chaos')")
     shard.add_argument(

@@ -138,30 +138,37 @@ class _FakeGate:
         return {"ok": self.exit_code == 0}
 
 
+def _fake_artifacts(monkeypatch):
+    """Replace every artifact's runner with a fake; loadknee's gate fails."""
+    import importlib
+
+    from repro.cli import COMMANDS
+
+    artifacts = [c for c in COMMANDS if c.artifact]
+    for command in artifacts:
+        module, _, function = command.artifact.rpartition(".")
+        code = 1 if command.name == "loadknee" else 0
+        fake = _FakeGate(code) if command.gate else _FakeFigure()
+        monkeypatch.setattr(
+            importlib.import_module(module),
+            function,
+            lambda quick=False, fake=fake: fake,
+        )
+    return artifacts
+
+
 class TestAllWithCsv:
     def test_all_csv_writes_every_figure_csv_and_gate_exit(
         self, monkeypatch, tmp_path, capsys
     ):
         """``--csv`` skips results without an exporter instead of crashing."""
-        import importlib
-
         from repro.bench import export
-        from repro.cli import COMMANDS
 
         monkeypatch.setitem(
             export._EXPORTERS, _FakeFigure, lambda result: "x,y\n1,2\n"
         )
-        artifacts = [c for c in COMMANDS if c.artifact]
-        for command in artifacts:
-            module, _, function = command.artifact.rpartition(".")
-            # One gate fails: 'all' must exit with the gates' worst code.
-            code = 1 if command.name == "loadknee" else 0
-            fake = _FakeGate(code) if command.gate else _FakeFigure()
-            monkeypatch.setattr(
-                importlib.import_module(module),
-                function,
-                lambda quick=False, fake=fake: fake,
-            )
+        artifacts = _fake_artifacts(monkeypatch)
+        # One gate fails: 'all' must exit with the gates' worst code.
         assert main(["all", "--quick", "--out", str(tmp_path), "--csv"]) == 1
         out = capsys.readouterr().out
         for command in artifacts:
@@ -173,6 +180,17 @@ class TestAllWithCsv:
         assert out.count("fake figure") == sum(
             1 for c in artifacts if c.gate is None
         )
+
+    def test_all_ignores_json(self, monkeypatch, tmp_path, capsys):
+        """``all`` prints text reports only, even with ``--json``."""
+        artifacts = _fake_artifacts(monkeypatch)
+        assert main(["all", "--quick", "--out", str(tmp_path), "--json"]) == 1
+        out = capsys.readouterr().out
+        assert '"ok"' not in out
+        assert out.count("fake gate") == sum(1 for c in artifacts if c.gate)
+        assert {p.name for p in tmp_path.glob("*.json")} == {
+            f"BENCH_{c.gate}_quick.json" for c in artifacts if c.gate
+        }
 
     def test_gated_bench_with_exporter_still_writes_csv(self, tmp_path, capsys):
         argv = ["replicate", "--quick", "--out", str(tmp_path), "--csv"]

@@ -9,8 +9,9 @@ sealing -- goes through a :class:`CryptoEngine`.  Two engines ship:
   :mod:`~repro.crypto.gcm`).  It is the ground truth the test vectors
   run against and stays deliberately readable.
 - ``fast`` wraps the optimised kernels of
-  :mod:`~repro.crypto.fastcrypto` (unrolled Salsa20 core, byte-table
-  and multi-lane AES, table-driven GHASH, cached CMAC subkeys).  Its
+  :mod:`~repro.crypto.fastcrypto` (diagonal and word-lane Salsa20
+  cores, byte-table and multi-lane AES, per-position GHASH tables,
+  cache-free one-time-key CMAC).  Its
   outputs are byte-identical to the reference engine's --
   :func:`parity_check` and the ``tests/test_crypto_engine.py`` matrix
   enforce this, so the two engines interoperate freely (seal with one,
@@ -25,7 +26,9 @@ byte-identical results (see ``docs/PERFORMANCE.md``).
 Both engines keep a bounded per-key cache of GCM cipher objects, which
 fixes the historic per-message key-schedule rebuild: sealing N messages
 under one session key now expands the AES key schedule (and, on the
-fast engine, the GHASH table) exactly once.
+fast engine, the GHASH tables) exactly once.  CMAC keys are one-time
+``K_operation`` keys, so the fast engine expands each per call and
+caches nothing for it.
 
 Selection: :func:`default_engine` resolves, in order, an explicit
 :func:`set_default_engine` call, the ``REPRO_CRYPTO_ENGINE`` environment
@@ -70,7 +73,14 @@ _ENV_VAR = "REPRO_CRYPTO_ENGINE"
 
 
 class _KeyedCache:
-    """A tiny bounded per-key object cache (sessions come and go)."""
+    """A bounded per-key object cache (sessions come and go).
+
+    When full, a new key evicts only the oldest entry (dict insertion
+    order), so one new session never forces every live session to
+    rebuild its cipher.  A fast-engine GCM entry costs about 0.5 ms and
+    0.21 MB to build (mostly its sixteen GHASH tables), so the worst
+    case at the default bound is 512 x ~0.21 MB, about 110 MB.
+    """
 
     def __init__(self, factory, maxsize: int = 512):
         self._factory = factory
@@ -84,8 +94,8 @@ class _KeyedCache:
             return entry
         entry = self._factory(key)
         with self._lock:
-            if len(self._entries) >= self._maxsize:
-                self._entries.clear()
+            if key not in self._entries and len(self._entries) >= self._maxsize:
+                del self._entries[next(iter(self._entries))]
             self._entries[key] = entry
         return entry
 
@@ -187,17 +197,17 @@ class FastEngine(CryptoEngine):
 
     def __init__(self):
         self._gcm_cache = _KeyedCache(FastAesGcm)
-        self._cmac_cache = _KeyedCache(FastCmac)
 
     def salsa20_encrypt(
         self, key: bytes, nonce: bytes, data: bytes, counter: int = 0
     ) -> bytes:
-        """Salsa20 via the unrolled multi-block core."""
+        """Salsa20: one block on the diagonal core, more on the word-lane core."""
         return FastSalsa20(key, nonce).encrypt(data, counter)
 
     def aes_cmac(self, key: bytes, message: bytes) -> bytes:
-        """CMAC with cached key schedule and subkeys."""
-        return self._cmac_cache.get(bytes(key)).mac(message)
+        """CMAC on the byte-table chain; the one-time key is expanded
+        per call and kept nowhere."""
+        return FastCmac(key).mac(message)
 
     def salsa20_encrypt_many(self, keys, nonce: bytes, datas) -> list:
         """Every message's blocks in one lane pass, each lane on its own key.
@@ -214,8 +224,8 @@ class FastEngine(CryptoEngine):
 
         Messages are grouped by CMAC block count and each group's chains
         advance together through :func:`~repro.crypto.fastcrypto.aes_cmac_lanes`
-        (its keys are expanded there and never enter the per-key caches).
-        A group of one takes the cached table chain of :meth:`aes_cmac`.
+        (its keys are expanded there and never cached).  A group of one
+        takes the table chain of :meth:`aes_cmac`.
         """
         _check_paired(keys, messages)
         if len(messages) == 1:

@@ -10,20 +10,22 @@ but optimised for CPython instead of mirroring the specifications:
   64-bit lanes of a single wide Python integer (a poor man's SIMD: one
   ``+``/``^``/rotate on the wide integer advances every block at once;
   the 64-bit lane leaves headroom so per-lane 32-bit adds never carry
-  across lanes).  Single blocks use a fully unrolled scalar core over
-  sixteen local variables.  The plaintext/keystream XOR is one
-  wide-integer operation instead of a per-byte generator.
+  across lanes).  A single block uses the diagonal layout instead
+  (:func:`_salsa_diagonal`): the four independent quarter-rounds of each
+  half-round ride the four 64-bit lanes of one 256-bit integer per
+  register, with lane rotations between the column and row rounds.
+  The plaintext/keystream XOR is one wide-integer operation.
 - **AES-128, one block**: each round is sixteen lookups in 256-entry
   byte-position tables, XORed on a 128-bit integer state.  The tables
   fuse SubBytes + ShiftRows + MixColumns per state-byte position
   (derived from the classic four 256-entry T-tables, pre-rotated to
   their output column), so a whole round is
-  ``M0[b0]^M1[b1]^...^M15[b15]^rk``.  At a few hundred KB total they
-  stay cache-resident under a real request mix, which beats wider
-  two-byte "pair" tables (~50 MB) that thrash the cache on varied
-  inputs.  They are key-independent, built lazily once per process, and
-  shared by every key; the key schedule is expanded once per key and
-  cached.
+  ``M0[b0]^M1[b1]^...^M15[b15]^rk``.  At about 0.4 MB total they stay
+  cache-resident under a real request mix, which beats wider two-byte
+  "pair" tables (~50 MB) that thrash the cache on varied inputs.  They
+  are key-independent, built lazily once per process, and shared by
+  every key.  This loop runs the serial CMAC chain and batches of one
+  or two blocks.
 - **AES-128, many blocks** (:func:`_aes_lanes`): N independent blocks
   are packed into one big integer, 128 bits per lane, and advance
   together.  SubBytes is one ``bytes.translate`` over every lane;
@@ -37,20 +39,21 @@ but optimised for CPython instead of mirroring the specifications:
   sixteen and 4.8-5.5x at 128 (``benchmarks/bench_wallclock_crypto.py``).
   :func:`_ecb_many` picks the lane kernel from :data:`_LANE_CROSSOVER`
   blocks up and the table loop below it.
-- **GCM**: GHASH uses a per-key 256-entry multiplication table (Shoup's
-  method, byte-at-a-time Horner with a shared 256-entry reduction
-  table) instead of the spec's 128-iteration bit loop; CTR keystream
-  blocks run on the block kernel and are XORed against the
-  message with one wide-integer op.  ``seal_many``/``open_many`` batch
-  whole message sets through :func:`_ecb_many` (so a window's counter
-  blocks and tag masks share lane passes) and a grouped GHASH pass,
-  byte-identical to per-message ``seal``/``open``.
-- **CMAC**: for one message, the AES key schedule and the RFC 4493
-  subkeys are derived once per key and cached, and the serial CBC chain
-  is a single loop over the byte tables with the whole message
-  pre-split into 128-bit words.  For a window of messages,
-  :func:`aes_cmac_lanes` runs one chain per lane in lockstep: each CBC
-  step is one lane pass, every lane under its own key.
+- **GCM**: GHASH uses sixteen per-key, per-byte-position tables built
+  from Shoup's 256-entry table, so a block is sixteen lookups XORed
+  together with no reduction step, instead of the spec's 128-iteration
+  bit loop.  ``seal``/``open`` are the one-item case of
+  ``seal_many``/``open_many``: a message set's CTR blocks and J0 tag
+  masks share one :func:`_ecb_many` pass (the lane kernel from three
+  blocks, which one message of 17 bytes or more already needs), then a
+  grouped GHASH pass.
+- **CMAC**: every CMAC key is a one-time key, so nothing is cached.  For
+  one message, :class:`FastCmac` expands the key with
+  :func:`_lane_key_schedule` at one lane, derives the RFC 4493 subkeys,
+  and runs the serial CBC chain as one loop over the byte tables with
+  the whole message pre-split into 128-bit words.  For a window of
+  messages, :func:`aes_cmac_lanes` runs one chain per lane in lockstep:
+  each CBC step is one lane pass, every lane under its own key.
 - **Window Salsa20**: :func:`salsa20_encrypt_many` packs every block of
   every message of a window into one lane pass of the Salsa20 core,
   each lane's state words taken from its own message's key.
@@ -62,6 +65,7 @@ never silently diverge from the spec-mirroring reference code.
 
 from __future__ import annotations
 
+import operator
 import struct
 from array import array
 from typing import Dict, List, Tuple
@@ -172,7 +176,8 @@ _RCON_WORDS = (
 )
 
 # Key schedules are tiny (44 ints); cache them so re-keying a session
-# cipher or re-MACing under the same key never re-expands.
+# cipher never re-expands.  One-time CMAC keys take _lane_key_schedule
+# instead and never enter these caches.
 _SCHEDULE_CACHE: dict = {}
 _SCHEDULE_CACHE_MAX = 1024
 _SCHEDULE128_CACHE: Dict[bytes, tuple] = {}
@@ -549,7 +554,7 @@ class FastAES128:
 
 
 # ---------------------------------------------------------------------------
-# GCM with table-driven GHASH
+# GCM with per-position GHASH tables
 # ---------------------------------------------------------------------------
 
 _R_POLY = 0xE1000000000000000000000000000000
@@ -575,8 +580,17 @@ def _build_reduction_table() -> tuple:
 _RED8 = _build_reduction_table()
 
 
-def _build_ghash_table(h: int) -> tuple:
-    """Per-key table ``T[b]`` = (byte ``b`` as an 8-term polynomial) x H."""
+def _build_ghash_tables(h: int) -> tuple:
+    """Per-key GHASH tables: ``T[p][b]`` = byte ``b`` at block position ``p``, times H.
+
+    ``T[0]`` is Shoup's 256-entry table (byte ``b`` as an 8-term
+    polynomial, times H).  Moving a byte one position down the block
+    multiplies it by x^8, so each further table follows from the one
+    before by linearity: ``T[p+1][b] = (T[p][b] >> 8) ^ R[T[p][b] & 255]``.
+    A block times H is then ``T0[w0] ^ T1[w1] ^ ... ^ T15[w15]``, with
+    no reduction step left in the loop.  Building the sixteen tables
+    takes about 0.5 ms and about 0.2 MB per key.
+    """
     table = [0] * 256
     v = h
     table[0x80] = v
@@ -587,16 +601,33 @@ def _build_ghash_table(h: int) -> tuple:
         if i & (i - 1):  # not a single bit: combine linearly
             lsb = i & -i
             table[i] = table[lsb] ^ table[i ^ lsb]
-    return tuple(table)
+    red = _RED8
+    tables = [tuple(table)]
+    for _ in range(15):
+        tables.append(tuple([(t >> 8) ^ red[t & 255] for t in tables[-1]]))
+    return tuple(tables)
+
+
+def _gcm_hash_input(aad: bytes, ciphertext: bytes) -> bytes:
+    """GHASH input: both strings zero-padded to blocks, then their bit lengths."""
+    return (
+        aad
+        + b"\x00" * ((-len(aad)) % 16)
+        + ciphertext
+        + b"\x00" * ((-len(ciphertext)) % 16)
+        + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
+    )
 
 
 class FastAesGcm:
     """AES-128-GCM, byte-compatible with :class:`repro.crypto.gcm.AesGcm`.
 
-    The AES key schedule, the hash subkey H and the 256-entry GHASH
-    multiplication table are all derived once at construction time, so a
+    The AES key schedule, the hash subkey H and the sixteen GHASH
+    position tables are all derived once at construction time, so a
     cached instance amortises every per-message key-setup cost the
-    reference implementation pays on each seal/open.
+    reference implementation pays on each seal/open.  :meth:`seal` and
+    :meth:`open` are the one-item case of :meth:`seal_many` and
+    :meth:`open_many`.
     """
 
     IV_SIZE = 12
@@ -604,105 +635,48 @@ class FastAesGcm:
 
     def __init__(self, key: bytes):
         self._aes = FastAES128(key)
-        h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-        self._table = _build_ghash_table(h)
+        self._tables = _build_ghash_tables(_encrypt_int(self._aes._rk, 0))
 
     def _ghash(self, data: bytes) -> int:
-        table = self._table
-        red = _RED8
+        """GHASH of ``data`` (a short last block is zero-padded), one
+        sixteen-lookup sum per block."""
+        (t0, t1, t2, t3, t4, t5, t6, t7,
+         t8, t9, t10, t11, t12, t13, t14, t15) = self._tables
+        if len(data) % 16:
+            data += b"\x00" * (-len(data) % 16)
+        frombytes = int.from_bytes
         y = 0
         for i in range(0, len(data), 16):
-            block = data[i : i + 16]
-            if len(block) < 16:
-                block = block + b"\x00" * (16 - len(block))
-            w = (y ^ int.from_bytes(block, "big")).to_bytes(16, "big")
-            # Horner over the 16 bytes, most significant last.
-            z = table[w[15]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[14]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[13]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[12]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[11]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[10]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[9]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[8]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[7]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[6]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[5]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[4]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[3]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[2]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[1]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[0]]
-            y = z
+            w = (y ^ frombytes(data[i : i + 16], "big")).to_bytes(16, "big")
+            y = (
+                t0[w[0]] ^ t1[w[1]] ^ t2[w[2]] ^ t3[w[3]]
+                ^ t4[w[4]] ^ t5[w[5]] ^ t6[w[6]] ^ t7[w[7]]
+                ^ t8[w[8]] ^ t9[w[9]] ^ t10[w[10]] ^ t11[w[11]]
+                ^ t12[w[12]] ^ t13[w[13]] ^ t14[w[14]] ^ t15[w[15]]
+            )
         return y
-
-    def _ctr(self, iv: bytes, data: bytes, start_counter: int = 2) -> bytes:
-        n = len(data)
-        if n == 0:
-            return b""
-        rk = self._aes._rk
-        enc = _encrypt_int
-        base = (int.from_bytes(iv, "big") << 32) | start_counter
-        keystream = b"".join(
-            enc(rk, base + i).to_bytes(16, "big")
-            for i in range((n + 15) // 16)
-        )[:n]
-        return (
-            int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-        ).to_bytes(n, "big")
-
-    def _tag(self, iv: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        pad_a = (-len(aad)) % 16
-        pad_c = (-len(ciphertext)) % 16
-        digest = self._ghash(
-            aad
-            + b"\x00" * pad_a
-            + ciphertext
-            + b"\x00" * pad_c
-            + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-        )
-        ek_j0 = int.from_bytes(
-            self._aes.encrypt_block(iv + b"\x00\x00\x00\x01"), "big"
-        )
-        return (digest ^ ek_j0).to_bytes(16, "big")
 
     def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ``ciphertext || tag``."""
-        if len(iv) != self.IV_SIZE:
-            raise ConfigurationError(
-                f"IV must be {self.IV_SIZE} bytes, got {len(iv)}"
-            )
-        ciphertext = self._ctr(iv, plaintext)
-        return ciphertext + self._tag(iv, aad, ciphertext)
+        return self.seal_many(((iv, plaintext, aad),))[0]
 
     def open(self, iv: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt ``ciphertext || tag``; raises on tampering."""
-        if len(iv) != self.IV_SIZE:
-            raise ConfigurationError(
-                f"IV must be {self.IV_SIZE} bytes, got {len(iv)}"
-            )
-        if len(sealed) < self.TAG_SIZE:
-            raise GcmFailure("message shorter than the authentication tag")
-        ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
-        expected = self._tag(iv, aad, ciphertext)
-        # Constant-time comparison: accumulate differences before deciding.
-        diff = 0
-        for a, b in zip(expected, tag):
-            diff |= a ^ b
-        if diff != 0:
+        (plaintext,) = self.open_many(((iv, sealed, aad),))
+        if plaintext is None:
+            if len(sealed) < self.TAG_SIZE:
+                raise GcmFailure("message shorter than the authentication tag")
             raise GcmFailure("authentication tag mismatch")
-        return self._ctr(iv, ciphertext)
+        return plaintext
 
     def seal_many(self, items) -> list:
         """Seal a batch of ``(iv, plaintext, aad)`` triples, in order.
 
-        Fused, phase-grouped kernel: the CTR pass runs over every
-        message back-to-back while the AES tables are cache-hot,
-        then the tag pass runs while the GHASH table is hot.  Nothing
-        about the per-message math changes -- outputs are byte-identical
-        to calling :meth:`seal` once per item -- but on a drained frame
-        set the tables stop being evicted between messages, which is
-        where the batched server path's crypto win comes from.
+        Fused, phase-grouped kernel: every message's CTR blocks and J0
+        tag mask share one :func:`_ecb_many` pass (the lane kernel from
+        :data:`_LANE_CROSSOVER` blocks up, so even one 51-byte message
+        takes it), then the tag pass runs while the GHASH tables are
+        hot.  :meth:`seal` is the one-item case.
         """
         iv_size = self.IV_SIZE
         # Gather every AES block the whole batch needs -- each message's
@@ -740,32 +714,22 @@ class FastAesGcm:
                 ciphertext = b""
             staged.append((aad, ciphertext, blocks[pos + nblocks]))
             pos += nblocks + 1
-        # Phase 2: all tags while the GHASH table is hot.
+        # Phase 2: all tags while the GHASH tables are hot.
         ghash = self._ghash
-        pack = struct.pack
         return [
             ciphertext
-            + (
-                ghash(
-                    aad
-                    + b"\x00" * ((-len(aad)) % 16)
-                    + ciphertext
-                    + b"\x00" * ((-len(ciphertext)) % 16)
-                    + pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-                )
-                ^ ek_j0
-            ).to_bytes(16, "big")
+            + (ghash(_gcm_hash_input(aad, ciphertext)) ^ ek_j0).to_bytes(16, "big")
             for aad, ciphertext, ek_j0 in staged
         ]
 
     def open_many(self, items) -> list:
         """Open a batch of ``(iv, sealed, aad)`` triples, in order.
 
-        Phase-grouped like :meth:`seal_many`: all tags are verified
-        first (GHASH table hot), then the surviving messages decrypt
-        back-to-back (AES tables hot).  Returns the plaintext per entry,
-        or ``None`` where authentication failed -- a tampered message
-        never poisons its batch-mates.
+        Phase-grouped like :meth:`seal_many`: one AES pass, then every
+        tag is verified and the surviving messages decrypt.  Returns the
+        plaintext per entry, or ``None`` where authentication failed (or
+        the input is shorter than a tag) -- a tampered message never
+        poisons its batch-mates.  :meth:`open` is the one-item case.
         """
         iv_size = self.IV_SIZE
         tag_size = self.TAG_SIZE
@@ -795,7 +759,6 @@ class FastAesGcm:
         # Verify every tag while the GHASH table is hot; decrypt the
         # survivors from the already-computed keystream.
         ghash = self._ghash
-        pack = struct.pack
         out = []
         pos = 0
         for entry in entries:
@@ -803,18 +766,10 @@ class FastAesGcm:
                 out.append(None)
                 continue
             ciphertext, tag, aad, n, nblocks = entry
-            ek_j0 = blocks[pos]
             expected = (
-                ghash(
-                    aad
-                    + b"\x00" * ((-len(aad)) % 16)
-                    + ciphertext
-                    + b"\x00" * ((-len(ciphertext)) % 16)
-                    + pack(">QQ", len(aad) * 8, n * 8)
-                )
-                ^ ek_j0
+                ghash(_gcm_hash_input(aad, ciphertext)) ^ blocks[pos]
             ).to_bytes(16, "big")
-            # Constant-time comparison, same as the scalar path.
+            # Constant-time comparison: accumulate differences, then decide.
             diff = 0
             for a, b in zip(expected, tag):
                 diff |= a ^ b
@@ -957,14 +912,80 @@ def _salsa_lanes(words, lanes: int) -> bytes:
     return struct.pack("<%dQ" % (8 * lanes), *flat)
 
 
+# The diagonal layout of one Salsa20 block: each 256-bit register holds
+# four state words in 64-bit lanes (lane 0 least significant), chosen so
+# that a column round's four quarter-rounds run lane-parallel as
+# ``b ^= rotl(a + d, 7); c ^= rotl(b + a, 9); d ^= rotl(c + b, 13);
+# a ^= rotl(d + c, 18)``:
+#   A = [x0, x5, x10, x15]   B = [x4, x9, x14, x3]
+#   C = [x8, x13, x2, x7]    D = [x12, x1, x6, x11]
+# The row round is the same quarter-round on A and the registers
+# rotated by one lane (D), two (C) and three (B).
+_DIAG_IN = struct.Struct("<" + "I4x" * 16)
+_DIAG_ORDER = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
+_DIAG_OUT = operator.itemgetter(0, 26, 20, 14, 8, 2, 28, 22, 16, 10, 4, 30, 24, 18, 12, 6)
+_DIAG_UNPACK = struct.Struct("<32I").unpack
+_DIAG_PACK = struct.Struct("<16I").pack
+_DIAG_M = _MASK32 * _lane_ones(4)
+
+
+def _salsa_diagonal(state) -> bytes:
+    """The 64-byte Salsa20 block of the sixteen words in ``state``.
+
+    Runs the four quarter-rounds of each half-round in the 64-bit lanes
+    of one 256-bit integer per register (see the layout above), so a
+    double round is eight lane-parallel quarter-round steps plus six
+    lane rotations instead of thirty-two scalar steps.  Lanes never
+    interfere: 32-bit adds carry at most into bit 32 of their own lane,
+    and every result is masked back to 32 bits per lane.
+    """
+    M = _DIAG_M
+    raw = _DIAG_IN.pack(*[state[i] for i in _DIAG_ORDER])
+    frombytes = int.from_bytes
+    a0 = a = frombytes(raw[:32], "little")
+    b0 = b = frombytes(raw[32:64], "little")
+    c0 = c = frombytes(raw[64:96], "little")
+    d0 = d = frombytes(raw[96:], "little")
+    for _ in range(10):
+        # Column round.
+        t = (a + d) & M; b ^= ((t << 7) | (t >> 25)) & M
+        t = (b + a) & M; c ^= ((t << 9) | (t >> 23)) & M
+        t = (c + b) & M; d ^= ((t << 13) | (t >> 19)) & M
+        t = (d + c) & M; a ^= ((t << 18) | (t >> 14)) & M
+        # Into row layout: lane i takes lane i+1 of d, i+2 of c, i+3 of b.
+        b, c, d = (
+            ((d >> 64) | (d << 192)) & M,
+            ((c >> 128) | (c << 128)) & M,
+            ((b >> 192) | (b << 64)) & M,
+        )
+        # Row round.
+        t = (a + d) & M; b ^= ((t << 7) | (t >> 25)) & M
+        t = (b + a) & M; c ^= ((t << 9) | (t >> 23)) & M
+        t = (c + b) & M; d ^= ((t << 13) | (t >> 19)) & M
+        t = (d + c) & M; a ^= ((t << 18) | (t >> 14)) & M
+        # Back to column layout.
+        b, c, d = (
+            ((d >> 64) | (d << 192)) & M,
+            ((c >> 128) | (c << 128)) & M,
+            ((b >> 192) | (b << 64)) & M,
+        )
+    words = _DIAG_UNPACK(
+        ((a + a0) & M).to_bytes(32, "little")
+        + ((b + b0) & M).to_bytes(32, "little")
+        + ((c + c0) & M).to_bytes(32, "little")
+        + ((d + d0) & M).to_bytes(32, "little")
+    )
+    return _DIAG_PACK(*_DIAG_OUT(words))
+
+
 class FastSalsa20:
     """Salsa20 stream cipher, drop-in for :class:`repro.crypto.salsa20.Salsa20`.
 
     Multi-block keystream requests pack one 32-bit state word per block
     into the 64-bit lanes of a single wide integer and run the 20-round
-    core once for every block simultaneously; single blocks use a fully
-    unrolled scalar core.  ``encrypt`` XORs plaintext and keystream as
-    two big integers.
+    core once for every block simultaneously; a single block runs the
+    diagonal core of :func:`_salsa_diagonal`.  ``encrypt`` XORs
+    plaintext and keystream as two big integers.
     """
 
     NONCE_SIZE = 8
@@ -996,58 +1017,11 @@ class FastSalsa20:
             k1[1], k1[2], k1[3], const[3],
         )
 
-    def _scalar_block(self, counter: int) -> bytes:
-        """One 64-byte keystream block via the unrolled scalar core."""
-        M = _MASK32
-        (s0, s1, s2, s3, s4, s5, s6, s7,
-         _, _, s10, s11, s12, s13, s14, s15) = self._state
-        s8 = counter & M
-        s9 = (counter >> 32) & M
-        x0, x1, x2, x3 = s0, s1, s2, s3
-        x4, x5, x6, x7 = s4, s5, s6, s7
-        x8, x9, x10, x11 = s8, s9, s10, s11
-        x12, x13, x14, x15 = s12, s13, s14, s15
-        for _ in range(10):
-            # columnround
-            t = (x0 + x12) & M; x4 ^= ((t << 7) | (t >> 25)) & M
-            t = (x4 + x0) & M; x8 ^= ((t << 9) | (t >> 23)) & M
-            t = (x8 + x4) & M; x12 ^= ((t << 13) | (t >> 19)) & M
-            t = (x12 + x8) & M; x0 ^= ((t << 18) | (t >> 14)) & M
-            t = (x5 + x1) & M; x9 ^= ((t << 7) | (t >> 25)) & M
-            t = (x9 + x5) & M; x13 ^= ((t << 9) | (t >> 23)) & M
-            t = (x13 + x9) & M; x1 ^= ((t << 13) | (t >> 19)) & M
-            t = (x1 + x13) & M; x5 ^= ((t << 18) | (t >> 14)) & M
-            t = (x10 + x6) & M; x14 ^= ((t << 7) | (t >> 25)) & M
-            t = (x14 + x10) & M; x2 ^= ((t << 9) | (t >> 23)) & M
-            t = (x2 + x14) & M; x6 ^= ((t << 13) | (t >> 19)) & M
-            t = (x6 + x2) & M; x10 ^= ((t << 18) | (t >> 14)) & M
-            t = (x15 + x11) & M; x3 ^= ((t << 7) | (t >> 25)) & M
-            t = (x3 + x15) & M; x7 ^= ((t << 9) | (t >> 23)) & M
-            t = (x7 + x3) & M; x11 ^= ((t << 13) | (t >> 19)) & M
-            t = (x11 + x7) & M; x15 ^= ((t << 18) | (t >> 14)) & M
-            # rowround
-            t = (x0 + x3) & M; x1 ^= ((t << 7) | (t >> 25)) & M
-            t = (x1 + x0) & M; x2 ^= ((t << 9) | (t >> 23)) & M
-            t = (x2 + x1) & M; x3 ^= ((t << 13) | (t >> 19)) & M
-            t = (x3 + x2) & M; x0 ^= ((t << 18) | (t >> 14)) & M
-            t = (x5 + x4) & M; x6 ^= ((t << 7) | (t >> 25)) & M
-            t = (x6 + x5) & M; x7 ^= ((t << 9) | (t >> 23)) & M
-            t = (x7 + x6) & M; x4 ^= ((t << 13) | (t >> 19)) & M
-            t = (x4 + x7) & M; x5 ^= ((t << 18) | (t >> 14)) & M
-            t = (x10 + x9) & M; x11 ^= ((t << 7) | (t >> 25)) & M
-            t = (x11 + x10) & M; x8 ^= ((t << 9) | (t >> 23)) & M
-            t = (x8 + x11) & M; x9 ^= ((t << 13) | (t >> 19)) & M
-            t = (x9 + x8) & M; x10 ^= ((t << 18) | (t >> 14)) & M
-            t = (x15 + x14) & M; x12 ^= ((t << 7) | (t >> 25)) & M
-            t = (x12 + x15) & M; x13 ^= ((t << 9) | (t >> 23)) & M
-            t = (x13 + x12) & M; x14 ^= ((t << 13) | (t >> 19)) & M
-            t = (x14 + x13) & M; x15 ^= ((t << 18) | (t >> 14)) & M
-        return struct.pack(
-            "<16I",
-            (x0 + s0) & M, (x1 + s1) & M, (x2 + s2) & M, (x3 + s3) & M,
-            (x4 + s4) & M, (x5 + s5) & M, (x6 + s6) & M, (x7 + s7) & M,
-            (x8 + s8) & M, (x9 + s9) & M, (x10 + s10) & M, (x11 + s11) & M,
-            (x12 + s12) & M, (x13 + s13) & M, (x14 + s14) & M, (x15 + s15) & M,
+    def _block(self, counter: int) -> bytes:
+        """One 64-byte keystream block via the diagonal core."""
+        s = self._state
+        return _salsa_diagonal(
+            s[:8] + (counter & _MASK32, (counter >> 32) & _MASK32) + s[10:]
         )
 
     def _lane_blocks(self, counter: int, lanes: int) -> bytes:
@@ -1082,7 +1056,7 @@ class FastSalsa20:
             return b""
         total = (length + 63) // 64
         if total == 1:
-            return self._scalar_block(counter)[:length]
+            return self._block(counter)[:length]
         pieces = []
         done = 0
         while done < total:
@@ -1154,7 +1128,7 @@ def salsa20_encrypt_many(keys, nonce: bytes, datas) -> list:
 
 
 # ---------------------------------------------------------------------------
-# CMAC: cached subkeys on the table chain, lockstep lanes for windows
+# CMAC: one-time keys on the table chain, lockstep lanes for windows
 # ---------------------------------------------------------------------------
 
 
@@ -1172,19 +1146,23 @@ def _cmac_key(key: bytes) -> bytes:
 
 
 class FastCmac:
-    """AES-128-CMAC with the key schedule and RFC 4493 subkeys cached.
+    """AES-128-CMAC for one key, with nothing cached beyond the instance.
 
-    One instance per (folded) key; :meth:`mac` then runs the serial CBC
-    chain of :func:`_cbc_chain` -- one unrolled byte-table AES block per
-    16 message bytes and nothing else.
+    Every CMAC key in the store is a one-time ``K_operation``, so the key
+    is expanded by :func:`_lane_key_schedule` at one lane (the same
+    expansion :func:`aes_cmac_lanes` runs for a window) and never enters
+    a process-wide cache.  The instance holds the schedule and the
+    RFC 4493 subkeys; :meth:`mac` runs the serial CBC chain of
+    :func:`_cbc_chain` -- one unrolled byte-table AES block per 16
+    message bytes and nothing else.
     """
 
     BLOCK = 16
 
     def __init__(self, key: bytes):
-        self._aes = FastAES128(_cmac_key(key))
-        self._rk = self._aes._rk
-        l = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
+        _ensure_round_tables()
+        self._rk = rk = _lane_key_schedule(int.from_bytes(_cmac_key(key), "big"), 1)
+        l = _encrypt_int(rk, 0)
         k1 = ((l << 1) & _MASK128) ^ (0x87 if l >> 127 else 0)
         k2 = ((k1 << 1) & _MASK128) ^ (0x87 if k1 >> 127 else 0)
         self._k1 = k1

@@ -10,8 +10,10 @@
 
 Each path also has a ``*_many`` form that runs a whole window of
 messages through one engine call per phase, byte-identical to the
-per-message calls (the pipelined client uses them; the single-message
-calls are their one-item case on the payload path).
+per-message calls.  The pipelined client uses them; on both paths the
+single-message calls are their one-item case (on the transport path,
+inside the fast engine: ``seal``/``open`` are one-item
+``seal_many``/``open_many``).
 
 Both paths run on a pluggable :class:`~repro.crypto.engine.CryptoEngine`
 (``reference`` or ``fast``; see :mod:`repro.crypto.engine`).  The engine

@@ -168,15 +168,26 @@ class TestWindowApis:
         ]
 
     def test_lane_path_leaves_the_key_caches_alone(self):
+        # Window and single-message payload crypto alike: no one-time key
+        # reaches a schedule cache or the GCM session cache, and the
+        # engine holds no per-key CMAC state at all.
         fast = get_engine("fast")
+        provider = CryptoProvider(engine=fast)
         rng = random.Random(5)
         keys = [rng.randbytes(32) for _ in range(6)]
+        caches = (fc._SCHEDULE_CACHE, fc._SCHEDULE128_CACHE, fast._gcm_cache._entries)
+        before = [set(cache) for cache in caches]
         fast.aes_cmac_many(keys, [b"m" * 64] * 6)
         fast.salsa20_encrypt_many(keys, b"\x00" * 8, [b"m" * 64] * 6)
-        assert not any(k in fast._cmac_cache._entries for k in keys)
-        assert not any(
-            fc._cmac_key(k) in fc._SCHEDULE_CACHE for k in keys
-        )
+        for key in keys:
+            for size in (0, 17, 64, 256):
+                value = rng.randbytes(size)
+                payload = provider.payload_encrypt(key, value)
+                assert provider.payload_decrypt(key, payload) == value
+            fast.aes_cmac(key, b"m" * 33)
+            fast.cmac_verify(key, b"m", b"\x00" * 16)
+        assert [set(cache) for cache in caches] == before
+        assert list(vars(fast)) == ["_gcm_cache"]
 
     @pytest.mark.parametrize("name", ["reference", "fast"])
     def test_mismatched_lengths_and_bad_keys_raise(self, name):

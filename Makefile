@@ -1,6 +1,8 @@
 # Precursor reproduction -- common workflows.
 
 PYTHON ?= python3
+# Every target runs the package from the checkout, no install needed.
+export PYTHONPATH := src
 
 .PHONY: install test bench bench-quick scorecard gates shard-smoke chaos-smoke replica-smoke health-smoke traffic-smoke examples lint clean
 
@@ -24,20 +26,20 @@ scorecard:
 # replication, traffic knee, near-cache and autoscaler gates.  Writes
 # bench_reports/BENCH_*_quick.json; exits 1 if any gate fails.
 gates:
-	PYTHONPATH=src $(PYTHON) -m repro.cli all --quick
+	$(PYTHON) -m repro.cli all --quick
 
 # Functional sharded cluster: routing, live join + migration, epoch retry.
 shard-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli shard --shards 2 --workload b --ops 2000
+	$(PYTHON) -m repro.cli shard --shards 2 --workload b --ops 2000
 
 # Deterministic chaos runs under three fixed seeds (docs/FAULTS.md).
 # Each exits non-zero iff an injected fault caused an integrity violation
 # instead of being recovered.
 chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 7 --ops 150
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 23 --ops 150 \
+	$(PYTHON) -m repro.cli chaos --seed 7 --ops 150
+	$(PYTHON) -m repro.cli chaos --seed 23 --ops 150 \
 		--schedule "drop:0.08,duplicate:0.05,delay:0.05,corrupt_payload:0.02,enclave_crash:0.01"
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
+	$(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
 		--schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
 
 # Replicated failover chaos under three fixed seeds: sync groups must
@@ -45,27 +47,27 @@ chaos-smoke:
 # 2-replica scaleout smoke proves migration x replication coexistence
 # (docs/REPLICATION.md).
 replica-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 7 --ops 150
-	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 23 --ops 150 --replicas 2 \
+	$(PYTHON) -m repro.cli replica --seed 7 --ops 150
+	$(PYTHON) -m repro.cli replica --seed 23 --ops 150 --replicas 2 \
 		--schedule "shard_death:0.05,replica_lag:0.08,promote_during_migration:0.02"
-	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 42 --ops 150 --ack-mode semi-sync
-	PYTHONPATH=src $(PYTHON) -m repro.cli shard --shards 2 --ops 400 --workload b
+	$(PYTHON) -m repro.cli replica --seed 42 --ops 150 --ack-mode semi-sync
+	$(PYTHON) -m repro.cli shard --shards 2 --ops 400 --workload b
 
 # Telemetry pipeline smoke (docs/OBSERVABILITY.md): a clean sharded +
 # replicated run must produce an OK windowed SLO report (exit 1 on any
 # breach), then the breach scenario must freeze a parseable
 # flight-recorder dump and replay it offline.
 health-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli health --shards 2 --replicas 1 --ops 240
-	PYTHONPATH=src $(PYTHON) -m repro.cli flightrec --out bench_reports > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro.cli flightrec --load bench_reports/flightrec.json
+	$(PYTHON) -m repro.cli health --shards 2 --replicas 1 --ops 240
+	$(PYTHON) -m repro.cli flightrec --out bench_reports > /dev/null
+	$(PYTHON) -m repro.cli flightrec --load bench_reports/flightrec.json
 
 # Open-loop traffic smoke (docs/TRAFFIC.md): a short flash-crowd
 # scenario on 2 shards must hold a loose SLO with the correction
 # invariant intact (corrected p99 >= uncorrected p99; exit 1 if either
 # fails).
 traffic-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli traffic --scenario flash-crowd \
+	$(PYTHON) -m repro.cli traffic --scenario flash-crowd \
 		--shards 2 --seed 11 --ops 240 \
 		--slo "latency:p99<60ms:min=8,errors:budget=2%:burn<5"
 

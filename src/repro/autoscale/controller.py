@@ -12,8 +12,9 @@ proposal per tick survives the guard.
 Every proposal becomes a :class:`Decision` record whether it was
 applied or refused, with a canonical one-line rendering
 (:meth:`Decision.line`) -- the unit of the byte-identical-per-seed
-bench gate.  Applied actions additionally emit a causal ``autoscale``
-trace context (decide -> actuate -> installed hops), an
+bench gate.  Applied actions additionally emit an ``autoscale`` trace
+(decide -> actuate -> installed hops, ``error:<ExcType>`` if the
+membership change raises), an
 ``autoscale_decision`` flight-recorder event, and bump the
 ``autoscale_*`` metric families.
 
@@ -425,12 +426,15 @@ class AutoScaler:
         self, snapshot: ClusterTelemetry, proposal: Proposal
     ) -> Decision:
         cluster = self.cluster
-        # Applied actions carry a causal trace of their own unless the
-        # controller fired inside someone else's context (it never does
-        # in the shipped wiring -- ticks run between operations).
-        owns_context = self.obs.ctxlog.current is None
-        if owns_context:
-            self.obs.ctxlog.begin("autoscale", client_id=-1)
+        # Applied actions carry a trace of their own unless the
+        # controller fired inside someone else's (it never does in the
+        # shipped wiring -- ticks run between operations).
+        tracer = self.obs.tracer
+        trace = (
+            tracer.start("autoscale", client_id=-1)
+            if tracer.current is None
+            else None
+        )
         self.obs.hop(
             "autoscale_decide",
             shard=proposal.shard,
@@ -469,9 +473,12 @@ class AutoScaler:
                 epoch=cluster.epoch,
                 shards=len(cluster.shards),
             )
-        finally:
-            if owns_context:
-                self.obs.ctxlog.end("ok")
+        except BaseException as exc:
+            if trace is not None:
+                trace.finish(exc)
+            raise
+        if trace is not None:
+            trace.finish()
         self.guard.mark_applied(self.tick, touched)
         self._shard_points.append((snapshot.t_ns, len(cluster.shards)))
         self._obs_shards.set(len(cluster.shards))

@@ -115,8 +115,9 @@ class PrecursorClient:
         operation land in the same trace (``docs/OBSERVABILITY.md``).
     trace_ops:
         When True (default), every single-key ``get``/``put``/``delete``
-        records an end-to-end span trace.  Disable for micro-benchmarks
-        that cannot afford the few clock reads per operation.
+        records one trace: its timed stages and its causal hops.  Disable
+        for micro-benchmarks that cannot afford the few clock reads per
+        operation.
     """
 
     def __init__(
@@ -541,7 +542,7 @@ class PrecursorClient:
     # -- tracing ---------------------------------------------------------------
 
     def _start_trace(self, op: str) -> Optional[Trace]:
-        """Begin an end-to-end span trace for one operation.
+        """Begin the trace of one operation.
 
         Returns None when tracing is disabled or a trace is already active
         (batched operations interleave submissions and replies, so only
@@ -581,9 +582,9 @@ class PrecursorClient:
                     raise PrecursorError(
                         f"put failed: {control_resp.status.name}"
                     )
-        except BaseException:
+        except BaseException as exc:
             if trace is not None:
-                trace.abort()
+                trace.finish(exc)
             raise
         if trace is not None:
             trace.finish()
@@ -645,9 +646,9 @@ class PrecursorClient:
             # Verified MAC of the value just served -- routers compare it
             # against the last acked write to catch stale failover state.
             self.last_payload_mac = payload.mac
-        except BaseException:
+        except BaseException as exc:
             if trace is not None:
-                trace.abort()
+                trace.finish(exc)
             raise
         if trace is not None:
             trace.finish()
@@ -671,9 +672,9 @@ class PrecursorClient:
                     )
             # _APPLIED: the delete was consumed server-side and only the
             # ack was lost -- the key is gone either way, report success.
-        except BaseException:
+        except BaseException as exc:
             if trace is not None:
-                trace.abort()
+                trace.finish(exc)
             raise
         if trace is not None:
             trace.finish()

@@ -14,10 +14,10 @@ flight-recorder dumps.
 This is the backing for ``python -m repro.cli health`` (clean-run SLO
 report, CI's ``health-smoke``) and ``python -m repro.cli flightrec``
 (breach scenario producing a parseable dump).  A run wires the full
-pipeline: causal contexts per routed operation, windowed per-shard
-aggregates on a fixed operation cadence, declarative SLO rules
-(:mod:`repro.obs.slo`), and a flight recorder that freezes its rings on
-the first breaching tick.
+pipeline: one trace (stages and causal hops) per routed operation,
+windowed per-shard aggregates on a fixed operation cadence, declarative
+SLO rules (:mod:`repro.obs.slo`), and a flight recorder that freezes its
+rings on the first breaching tick.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class HealthReport:
     slo_report: str = ""
     #: Last published snapshot (``ClusterTelemetry.to_dict``).
     last_snapshot: Optional[dict] = None
-    #: The first trace context carrying a retry/failover-class hop.
+    #: Causal view of the first retained trace with a retry/failover-class hop.
     affected_trace: Optional[dict] = None
     #: Flight-recorder dump frozen at the first breach, if any.
     dump: Optional[dict] = None
@@ -307,9 +307,9 @@ def run_health(
     report.slo_report = engine.report()
     if pipeline.last is not None:
         report.last_snapshot = pipeline.last.to_dict()
-    for context in obs.ctxlog.recent():
-        if any(k in _AFFECTED_KINDS for k in context.hop_kinds()):
-            report.affected_trace = context.to_dict()
+    for trace in obs.tracer.finished:
+        if any(k in _AFFECTED_KINDS for k in trace.hop_kinds()):
+            report.affected_trace = trace.to_dict()
             break
     if engine.breaches:
         report.dump = obs.flight.last_dump

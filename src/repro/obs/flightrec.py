@@ -2,8 +2,9 @@
 
 The recorder keeps small bounded ring buffers of the most recent
 
-* finished trace contexts (fed by :class:`~repro.obs.telemetry.ContextLog`
-  via its ``on_retire`` hook),
+* retired request traces, finished or failed, in their causal
+  :meth:`~repro.obs.span.Trace.to_dict` form (fed by the
+  :class:`~repro.obs.span.Tracer`'s ``on_retire`` hook),
 * fault-log entries (fed by :class:`~repro.faults.engine.FaultEngine`),
 * topology events (epoch installs, crashes, promotions, migrations --
   fed by the cluster/replica layers through ``ObsContext.record_event``),
@@ -27,6 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.obs.clock import Clock, WallClock
+from repro.obs.span import describe_record
 
 __all__ = ["FlightRecorder"]
 
@@ -60,9 +62,9 @@ class FlightRecorder:
 
     # -- intake ------------------------------------------------------------
 
-    def record_context(self, context) -> None:
-        """Ring-buffer one finished trace context (``on_retire`` hook)."""
-        self.contexts.append(context.to_dict())
+    def record_context(self, trace) -> None:
+        """Ring-buffer one retired trace's causal view (``on_retire`` hook)."""
+        self.contexts.append(trace.to_dict())
 
     def record_fault(self, entry: str, t_ns: Optional[int] = None) -> None:
         """Ring-buffer one fault-log entry (``kind`` or ``kind:detail``)."""
@@ -167,32 +169,8 @@ class FlightRecorder:
     def render_trace(dump: dict, trace_id: str) -> str:
         """Re-render one context from a dump as its causal story."""
         for context in dump.get("contexts", []):
-            if context.get("trace_id") != trace_id:
-                continue
-            start = context.get("start_ns") or 0
-            end = context.get("end_ns")
-            head = (
-                f"trace {trace_id} op={context.get('op')} "
-                f"client={context.get('client_id')} "
-                f"status={context.get('status')}"
-            )
-            if end is not None:
-                head += f" total={(end - start) / 1e6:.3f}ms"
-            lines = [head]
-            for hop in context.get("hops", []):
-                rel_ms = (hop.get("t_ns", start) - start) / 1e6
-                shard = hop.get("shard")
-                detail = hop.get("detail") or {}
-                detail_text = " ".join(
-                    f"{k}={v}" for k, v in sorted(detail.items())
-                )
-                lines.append(
-                    f"  {hop.get('seq', 0):02d} +{rel_ms:8.3f}ms "
-                    f"{hop.get('kind', '?'):<18}"
-                    f"{' shard=' + shard if shard else ''}"
-                    f"{' ' + detail_text if detail_text else ''}"
-                )
-            return "\n".join(lines)
+            if context.get("trace_id") == trace_id:
+                return describe_record(context)
         raise ObservabilityError(
             f"trace {trace_id!r} not present in flight-recorder dump"
         )

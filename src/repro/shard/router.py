@@ -428,32 +428,21 @@ class ShardedClient:
             return None
         return tracer.start(op, client_id=self.client_id, routed=True)
 
-    def _begin_context(self, op: str):
-        """Mint the causal trace context for one routed operation.
-
-        Mirrors :meth:`_start_trace`: only when tracing is on and no
-        context is already active on this thread (so a caller running
-        under its own context keeps it -- the hops nest there).
-        """
-        if not self._trace_ops:
-            return None
-        ctxlog = self.obs.ctxlog
-        if ctxlog.current is not None:
-            return None
-        return ctxlog.begin(op, client_id=self.client_id)
-
-    def _end_context(self, context, status: str) -> None:
-        """Seal the context minted by :meth:`_begin_context`, if any."""
-        if context is not None:
-            self.obs.ctxlog.end(status)
-
-    def _observe(self, key: bytes, op: str, t0_ns: int, ok: bool) -> None:
-        """Feed the routed operation's latency to the telemetry pipeline."""
+    def _finish_op(
+        self,
+        trace: Optional[Trace],
+        key: bytes,
+        op: str,
+        t0_ns: int,
+        exc: Optional[BaseException] = None,
+    ) -> None:
+        """Close one routed operation: telemetry sample, then its trace."""
         pipeline = self.obs.telemetry
-        if pipeline is None:
-            return
-        latency = self.obs.tracer.clock.now_ns() - t0_ns
-        pipeline.observe(self._map.owner(key), op, latency, ok=ok)
+        if pipeline is not None:
+            latency = self.obs.tracer.clock.now_ns() - t0_ns
+            pipeline.observe(self._map.owner(key), op, latency, ok=exc is None)
+        if trace is not None:
+            trace.finish(exc)
 
     # -- near-cache --------------------------------------------------------
 
@@ -650,7 +639,6 @@ class ShardedClient:
     def put(self, key: bytes, value: bytes) -> None:
         """Store ``value`` under ``key`` on its owning shard (epoch-fenced)."""
         trace = self._start_trace("put")
-        context = self._begin_context("put")
         t0_ns = self.obs.tracer.clock.now_ns()
         try:
             mac = self._failover_retry(key, True, lambda c: c.put(key, value))
@@ -668,15 +656,9 @@ class ShardedClient:
                 # staleness claim.
                 self.freshness.forget(key)
             self._cache_invalidate(key)
-            self._observe(key, "put", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
+            self._finish_op(trace, key, "put", t0_ns, exc)
             raise
-        self._observe(key, "put", t0_ns, ok=True)
-        self._end_context(context, "ok")
-        if trace is not None:
-            trace.finish()
+        self._finish_op(trace, key, "put", t0_ns)
 
     def get(self, key: bytes) -> bytes:
         """Fetch and verify ``key``, retrying once after an epoch bump.
@@ -693,7 +675,6 @@ class ShardedClient:
         (``cache`` | ``backup`` | ``primary``).
         """
         trace = self._start_trace("get")
-        context = self._begin_context("get")
         t0_ns = self.obs.tracer.clock.now_ns()
         self.last_read_path = "primary"
 
@@ -707,10 +688,7 @@ class ShardedClient:
                 if cached is not None:
                     self.last_read_path = "cache"
                     self.operations += 1
-                    self._observe(key, "get", t0_ns, ok=True)
-                    self._end_context(context, "ok")
-                    if trace is not None:
-                        trace.finish()
+                    self._finish_op(trace, key, "get", t0_ns)
                     return cached
             if self._offload:
                 offloaded = self._offload_read(key)
@@ -719,10 +697,7 @@ class ShardedClient:
                     self.last_read_path = "backup"
                     self._cache_fill(key, value, mac)
                     self.operations += 1
-                    self._observe(key, "get", t0_ns, ok=True)
-                    self._end_context(context, "ok")
-                    if trace is not None:
-                        trace.finish()
+                    self._finish_op(trace, key, "get", t0_ns)
                     return value
             try:
                 value, mac = self._failover_retry(key, False, fetch)
@@ -748,21 +723,14 @@ class ShardedClient:
             # miss, an unreachable shard): drop it so the next read
             # revalidates from the store.
             self._cache_invalidate(key)
-            self._observe(key, "get", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
+            self._finish_op(trace, key, "get", t0_ns, exc)
             raise
-        self._observe(key, "get", t0_ns, ok=True)
-        self._end_context(context, "ok")
-        if trace is not None:
-            trace.finish()
+        self._finish_op(trace, key, "get", t0_ns)
         return value
 
     def delete(self, key: bytes) -> None:
         """Delete ``key``, retrying once after an epoch bump."""
         trace = self._start_trace("delete")
-        context = self._begin_context("delete")
         t0_ns = self.obs.tracer.clock.now_ns()
         try:
             try:
@@ -785,24 +753,15 @@ class ShardedClient:
             self._note_claimed_lsn(key)
             self.operations += 1
         except KeyNotFoundError as exc:
-            self._observe(key, "delete", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
+            self._finish_op(trace, key, "delete", t0_ns, exc)
             raise
         except BaseException as exc:
             if self.freshness is not None:
                 self.freshness.forget(key)
             self._cache_invalidate(key)
-            self._observe(key, "delete", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
+            self._finish_op(trace, key, "delete", t0_ns, exc)
             raise
-        self._observe(key, "delete", t0_ns, ok=True)
-        self._end_context(context, "ok")
-        if trace is not None:
-            trace.finish()
+        self._finish_op(trace, key, "delete", t0_ns)
 
     # -- batched operations ------------------------------------------------
 

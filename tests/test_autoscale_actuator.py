@@ -159,14 +159,36 @@ class TestAutoScaler:
         assert [d.outcome for d in made] == ["applied"]
         assert len(cluster.shards) == 2
         assert cluster.epoch == 2
-        context = cluster.obs.ctxlog.last
-        assert context.op == "autoscale"
-        assert "autoscale_decide" in context.hop_kinds()
-        assert "autoscale_installed" in context.hop_kinds()
+        trace = cluster.obs.tracer.last
+        assert trace.op == "autoscale" and trace.status == "ok"
+        assert "autoscale_decide" in trace.hop_kinds()
+        assert "autoscale_installed" in trace.hop_kinds()
         families = cluster.obs.registry._families
         assert "autoscale_decisions_total" in families
         assert "autoscale_shards" in families
         assert "autoscale_pressure" in families
+
+    def test_failed_action_is_recorded_as_error(self, monkeypatch):
+        cluster, _clock = _cluster(shards=1)
+        scaler = AutoScaler(
+            cluster,
+            policy="scale-out:p99>1ms:for=1",
+            guard=StabilityGuard(max_shards=2, cooldown_ticks=1),
+        )
+
+        def refuse():
+            raise ConfigurationError("no capacity for a new shard")
+
+        monkeypatch.setattr(cluster, "add_shard", refuse)
+        hot = {"shard-0": dict(p99_ns=5_000_000)}
+        with pytest.raises(ConfigurationError):
+            scaler.on_snapshot(_snap(1, cluster, **hot))
+        trace = cluster.obs.tracer.last
+        assert trace.op == "autoscale"
+        assert trace.status == "error:ConfigurationError"
+        assert trace.hop_kinds() == ["autoscale_decide"]
+        assert cluster.obs.tracer.current is None
+        assert len(cluster.shards) == 1
 
     def test_one_change_in_flight_per_tick(self):
         cluster, _clock = _cluster(shards=1, replicas=0)

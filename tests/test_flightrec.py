@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import (
-    ContextLog,
     FlightRecorder,
     ManualClock,
     ObsContext,
@@ -16,10 +15,10 @@ from repro.obs import (
 
 
 def finished_context(trace_id_client=1, clock=None):
-    log = ContextLog(clock=clock or ManualClock())
-    log.begin("get", client_id=trace_id_client)
-    log.hop("route", shard="shard-0")
-    return log.end()
+    obs = ObsContext.create(clock=clock or ManualClock())
+    trace = obs.tracer.start("get", client_id=trace_id_client)
+    obs.hop("route", shard="shard-0")
+    return trace.finish()
 
 
 class TestRings:
@@ -109,11 +108,31 @@ class TestDumps:
         ctx = finished_context(trace_id_client=9)
         flight.record_context(ctx)
         dump = flight.trigger("manual")
-        text = FlightRecorder.render_trace(dump, ctx.trace_id)
-        assert ctx.trace_id in text
+        trace_id = ctx.to_dict()["trace_id"]
+        text = FlightRecorder.render_trace(dump, trace_id)
+        assert trace_id in text
         assert "route" in text and "shard-0" in text
         with pytest.raises(ObservabilityError):
             FlightRecorder.render_trace(dump, "c9-999")
+
+    def test_render_trace_matches_describe(self):
+        clock = ManualClock()
+        obs = ObsContext.create(clock=clock)
+        obs.attach_flight(FlightRecorder())
+        trace = obs.tracer.start("put", client_id=5)
+        clock.advance(250_000)
+        obs.hop("stale_retry", epoch=3)  # no shard
+        clock.advance(1_500_000)
+        obs.hop("server", shard="shard-1", op="put", oid=9)
+        trace.finish(KeyError("k"))
+        dump = obs.flight.trigger("manual")
+        text = FlightRecorder.render_trace(dump, "c5-1")
+        assert text == trace.describe()
+        assert text.splitlines() == [
+            "trace c5-1 op=put client=5 status=error:KeyError total=1.750ms",
+            "  00 +   0.250ms stale_retry        epoch=3",
+            "  01 +   1.750ms server             shard=shard-1 oid=9 op=put",
+        ]
 
 
 class TestAutoTriggers:
@@ -136,11 +155,16 @@ class TestAutoTriggers:
     def test_finished_contexts_flow_into_recorder(self):
         obs = ObsContext.create(clock=ManualClock())
         obs.attach_flight(FlightRecorder())
-        obs.ctxlog.begin("put", client_id=2)
+        obs.tracer.start("put", client_id=2)
         obs.hop("route", shard="shard-0")
-        obs.ctxlog.end()
+        obs.tracer.current.finish()
+        obs.tracer.start("get", client_id=2).finish(KeyError("k"))
+        obs.tracer.start("get", client_id=2).abort()  # discarded: not fed
         dump = obs.flight.trigger("manual")
-        assert dump["contexts"][-1]["trace_id"] == "c2-1"
+        assert [(c["trace_id"], c["status"]) for c in dump["contexts"]] == [
+            ("c2-1", "ok"),
+            ("c2-2", "error:KeyError"),
+        ]
 
     def test_shard_crash_triggers_dump_and_promotion_event(self):
         from repro.shard.cluster import ShardedCluster
@@ -170,3 +194,17 @@ class TestAutoTriggers:
         assert report.ok
         assert report.flight_dump is None
         assert report.to_dict()["flight_dump_recorded"] is False
+
+    def test_unsharded_chaos_records_the_plain_clients_requests(self):
+        from repro.faults import run_chaos
+
+        obs = ObsContext.create()
+        report = run_chaos(seed=7, schedule="drop:0.1", ops=40, obs=obs)
+        contexts = obs.flight.trigger("manual")["contexts"]
+        assert contexts  # no router, yet every request left its story
+        assert {c["op"] for c in contexts} <= {"get", "put", "delete"}
+        assert all(c["trace_id"].startswith("c") for c in contexts)
+        assert any(c["status"].startswith("error:") for c in contexts)
+        kinds = {hop["kind"] for c in contexts for hop in c["hops"]}
+        assert report.retries > 0
+        assert {"server", "retry"} <= kinds

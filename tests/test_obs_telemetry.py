@@ -1,98 +1,173 @@
-"""Causal contexts and the sliding-window telemetry pipeline."""
+"""Per-request causal records on the tracer, and the telemetry pipeline."""
+
+import sys
+import threading
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import (
-    ContextLog,
     ManualClock,
     MetricsRegistry,
     ObsContext,
     TelemetryPipeline,
+    Tracer,
 )
 from repro.sim import Simulator, Timeout
 
 
+def _obs(clock=None):
+    return ObsContext.create(clock=clock or ManualClock())
+
+
+def _ids(traces):
+    return [t.to_dict()["trace_id"] for t in traces]
+
+
 class TestContextLog:
+    """Causal-record lifecycle: start, hop, finish on one trace."""
+
     def test_begin_hop_end_lifecycle(self):
         clock = ManualClock()
-        log = ContextLog(clock=clock)
-        ctx = log.begin("put", client_id=3)
-        assert ctx.trace_id == "c3-1"
-        assert log.current is ctx
+        obs = _obs(clock)
+        trace = obs.tracer.start("put", client_id=3)
+        assert trace.to_dict()["trace_id"] == "c3-1"
+        assert obs.tracer.current is trace
         clock.advance(500)
-        log.hop("route", shard="shard-0", epoch=1)
+        obs.hop("route", shard="shard-0", epoch=1)
         clock.advance(500)
-        log.hop("server", shard="shard-0")
-        finished = log.end("ok")
-        assert finished is ctx
-        assert log.current is None
-        assert ctx.finished and ctx.status == "ok"
-        assert ctx.total_ns == 1000
-        assert ctx.hop_kinds() == ["route", "server"]
-        assert ctx.shards_touched() == ["shard-0"]
-        assert ctx.hops[0].t_ns == 500
-        assert log.get("c3-1") is ctx and log.last is ctx
+        obs.hop("server", shard="shard-0")
+        assert trace.finish() is trace
+        assert obs.tracer.current is None
+        assert trace.finished and trace.status == "ok"
+        assert trace.total_ns == 1000
+        assert trace.hop_kinds() == ["route", "server"]
+        assert trace.shards_touched() == ["shard-0"]
+        assert trace.hops[0].t_ns == 500
+        assert obs.tracer.last is trace
 
     def test_trace_ids_deterministic_under_client_id(self):
         ids = []
         for _ in range(2):
-            log = ContextLog(clock=ManualClock())
+            tracer = Tracer(clock=ManualClock())
             for _ in range(3):
-                log.begin("get", client_id=7)
-                log.end()
-            ids.append([c.trace_id for c in log.recent()])
+                tracer.start("get", client_id=7).finish()
+            ids.append(_ids(tracer.finished))
         assert ids[0] == ids[1] == ["c7-1", "c7-2", "c7-3"]
 
     def test_nested_begin_rejected(self):
-        log = ContextLog(clock=ManualClock())
-        log.begin("get")
+        tracer = Tracer(clock=ManualClock())
+        tracer.start("get")
         with pytest.raises(ObservabilityError):
-            log.begin("put")
+            tracer.start("put")
 
     def test_hop_and_end_noop_when_idle(self):
-        log = ContextLog(clock=ManualClock())
-        log.hop("route", shard="shard-0")  # must not raise
-        assert log.end() is None
-        assert log.finished_total == 0
+        obs = _obs()
+        obs.hop("route", shard="shard-0")  # must not raise
+        obs.tracer.abort_current()  # nor must ending nothing
+        assert obs.tracer.current is None
+        assert obs.tracer.started_total == 0
+        assert obs.tracer.finished_total == 0
 
     def test_capacity_evicts_and_counts_drops(self):
         registry = MetricsRegistry()
-        log = ContextLog(clock=ManualClock(), capacity=4)
-        log.bind_obs(registry)
-        for _ in range(10):
-            log.begin("get")
-            log.end()
-        assert len(log.recent()) == 4
-        assert log.dropped_total == 6
+        tracer = Tracer(clock=ManualClock(), capacity=4)
+        tracer.bind_obs(registry)
+        for i in range(10):
+            trace = tracer.start("get")
+            # Failed requests are retired, and evicted, like clean ones.
+            trace.finish(RuntimeError("x") if i % 2 else None)
+        assert len(tracer.finished) == 4
+        assert tracer.dropped_total == 6
+        assert tracer.aborted_total == 5
         counter = registry.counter(
-            "trace_context_dropped_total",
-            "finished contexts evicted because the log hit capacity",
+            "trace_dropped_total",
+            "finished traces evicted because the tracer hit capacity",
         )
         assert counter.value == 6
         # Oldest were evicted, newest survive.
-        assert [c.trace_id for c in log.recent()][-1] == "c0-10"
+        assert _ids(tracer.finished)[-1] == "c0-10"
+        assert tracer.last.status == "error:RuntimeError"
 
     def test_on_retire_callback_sees_every_finish(self):
         seen = []
-        log = ContextLog(clock=ManualClock(), capacity=2)
-        log.on_retire = seen.append
-        for _ in range(5):
-            log.begin("get")
-            log.end()
+        tracer = Tracer(clock=ManualClock(), capacity=2)
+        tracer.on_retire = seen.append
+        for i in range(5):
+            trace = tracer.start("get")
+            trace.finish(KeyError("k") if i == 2 else None)
+        tracer.start("discarded").abort()
         assert len(seen) == 5
+        assert [t.status for t in seen].count("error:KeyError") == 1
 
     def test_describe_renders_hops(self):
         clock = ManualClock()
-        log = ContextLog(clock=clock)
-        log.begin("get", client_id=1)
+        obs = _obs(clock)
+        trace = obs.tracer.start("get", client_id=1)
         clock.advance(1_000_000)
-        log.hop("route", shard="shard-1", epoch=2)
-        ctx = log.end()
-        text = ctx.describe()
+        obs.hop("route", shard="shard-1", epoch=2)
+        text = trace.finish().describe()
         assert "trace c1-1" in text
         assert "route" in text and "shard=shard-1" in text
         assert "epoch=2" in text
+
+    def test_failed_finish_closes_open_stages(self):
+        clock = ManualClock()
+        tracer = Tracer(clock=clock)
+        trace = tracer.start("get")
+        trace.stage("client.rdma_write").__enter__()
+        clock.advance(7)
+        trace.finish(TimeoutError())
+        assert trace.status == "error:TimeoutError"
+        assert sum(s.duration_ns for s in trace.top_level_stages()) == 7
+        assert tracer.last is trace and tracer.current is None
+
+    def test_concurrent_routed_ops_get_unique_gap_free_ids(self):
+        from repro.shard import ShardedClient, ShardedCluster
+
+        threads, ops = 8, 12
+        obs = ObsContext.create(clock=ManualClock())
+        # One cluster per thread (servers are pumped by their caller),
+        # all recording into the one shared obs context.
+        routers = [
+            ShardedClient(
+                ShardedCluster(shards=2, seed=3, obs=obs), client_id=1
+            )
+            for _ in range(threads)
+        ]
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def worker(router, tag):
+            barrier.wait()
+            try:
+                for i in range(ops):
+                    router.put(b"t%d-%d" % (tag, i), b"v")
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        pool = [
+            threading.Thread(target=worker, args=(router, tag))
+            for tag, router in enumerate(routers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert not errors
+        tracer = obs.tracer
+        total = threads * ops
+        assert sorted(t.trace_id for t in tracer.finished) == list(
+            range(1, total + 1)
+        )
+        assert all(t.status == "ok" for t in tracer.finished)
+        assert tracer.started_total == tracer.finished_total == total
 
 
 class TestTelemetryPipeline:

@@ -1,9 +1,9 @@
-"""Causal trace-context continuity across retries, duplicates, failover.
+"""Causal continuity of one trace across retries, duplicates, failover.
 
-The acceptance criterion from the telemetry ISSUE: a request that hits a
-fault must carry its *whole* recovery inside one ``TraceContext`` -- the
-retry, the reconnect, the failover re-route, the promotion follow -- so
-the flight recorder can replay the request's path after the fact.
+A request that hits a fault must carry its *whole* recovery inside its
+one :class:`~repro.obs.span.Trace` -- the retry, the reconnect, the
+failover re-route, the promotion follow -- so the flight recorder can
+replay the request's path after the fact.
 """
 
 from repro.obs import ManualClock, ObsContext
@@ -55,20 +55,42 @@ class TestRetryContinuity:
         server.fabric.install_fault_hook(None)
         assert not state["armed"]  # the fault actually fired
 
-        ctx = obs.ctxlog.last
+        ctx = obs.tracer.last
         kinds = ctx.hop_kinds()
         assert ctx.status == "ok"
         assert "route" in kinds
         assert "retry" in kinds  # the recovery is part of the same trace
         assert kinds.index("route") < kinds.index("retry")
         assert ctx.shards_touched() == [shard]
-        # Exactly one context for the one logical operation.
-        assert obs.ctxlog.finished_total == 1
+        # Exactly one trace for the one logical operation.
+        assert obs.tracer.finished_total == 1
+
+    def test_plain_client_retry_hops_land_on_its_trace(self):
+        from repro.core import PrecursorClient, PrecursorServer
+
+        obs = ObsContext.create(clock=ManualClock())
+        server = PrecursorServer(obs=obs)
+        client = PrecursorClient(
+            server, client_id=4, max_retries=3, retry_backoff_s=0.0
+        )
+        client.put(b"k", b"v")
+        state = _drop_next_reply(server, client)
+
+        assert client.get(b"k") == b"v"
+        server.fabric.install_fault_hook(None)
+        assert not state["armed"]
+
+        trace = obs.tracer.last
+        kinds = trace.hop_kinds()
+        assert trace.op == "get" and trace.status == "ok"
+        assert "retry" in kinds and "server" in kinds
+        assert kinds.index("server") < kinds.index("retry")
+        assert trace.to_dict()["trace_id"] == "c4-2"
 
     def test_clean_op_has_no_recovery_hops(self):
         obs, cluster, client = _cluster_client()
         client.put(b"k", b"v")
-        kinds = obs.ctxlog.last.hop_kinds()
+        kinds = obs.tracer.last.hop_kinds()
         assert "route" in kinds and "server" in kinds
         assert not {"retry", "reconnect", "failover"} & set(kinds)
 
@@ -87,10 +109,10 @@ class TestDuplicateReplyContinuity:
 
         server = cluster.server(shard)
         assert server.stats.duplicate_replies > 0
-        # The replay-filter hit was recorded into a live context.
+        # The replay-filter hit was recorded into a live trace.
         all_kinds = [
             kind
-            for ctx in obs.ctxlog.recent()
+            for ctx in obs.tracer.finished
             for kind in ctx.hop_kinds()
         ]
         assert "dup_reply" in all_kinds
@@ -107,10 +129,10 @@ class TestFailoverContinuity:
         cluster.crash_shard(victim)  # backup promotes behind the name
 
         assert client.get(key) == b"before"
-        ctx = obs.ctxlog.last
+        ctx = obs.tracer.last
         kinds = ctx.hop_kinds()
         # The router notices the swapped primary at session lookup and
-        # re-attests inside the same request context.
+        # re-attests inside the same request's trace.
         assert "reattach" in kinds
         assert kinds.index("reattach") < kinds.index("server")
         assert ctx.status == "ok"
@@ -124,7 +146,7 @@ class TestFailoverContinuity:
         cluster.server(victim).crash()  # no backup: ring must shrink
 
         client.put(key, b"v")  # router fails over to the survivor
-        ctx = obs.ctxlog.last
+        ctx = obs.tracer.last
         kinds = ctx.hop_kinds()
         assert "failover" in kinds
         assert ctx.status == "ok"
@@ -149,7 +171,7 @@ class TestFailoverContinuity:
         assert client.stale_retries >= 1
         all_kinds = [
             kind
-            for ctx in obs.ctxlog.recent()
+            for ctx in obs.tracer.finished
             for kind in ctx.hop_kinds()
         ]
         assert "stale_retry" in all_kinds
@@ -163,8 +185,8 @@ class TestTraceIdDeterminism:
                 client.put(b"k%02d" % i, b"v")
                 client.get(b"k%02d" % i)
             return [
-                (c.trace_id, c.op, tuple(c.hop_kinds()))
-                for c in obs.ctxlog.recent()
+                (c.to_dict()["trace_id"], c.op, tuple(c.hop_kinds()))
+                for c in obs.tracer.finished
             ]
 
         assert run() == run()

@@ -1,11 +1,12 @@
-"""Wall-clock batching benchmark: serial request path vs batched pipeline.
+"""Wall-clock batching benchmark: the request path across batch windows.
 
 Measures the **real** server-side cost of the batched request pipeline
-(``repro.core.batch``, ``docs/BATCHING.md``) against the serial path on
-a YCSB-A-style workload: four clients stage waves of 50/50 get/put
+(``PrecursorServer.process_client``, ``docs/BATCHING.md``) at several
+batch windows K against the amortization-free K=1 baseline on a
+YCSB-A-style workload: four clients stage waves of 50/50 get/put
 operations into their rings, and only the server's drain-and-reply pump
 (``process_pending``) is timed -- the region where batching changes
-anything.  Client-side seal/verify work is identical on both paths and
+anything.  Client-side seal/verify work is identical at every K and
 would only dilute the ratio, so it stays outside the timed region.
 
 Methodology: this machine's wall clock is extremely noisy (cross-run
@@ -19,9 +20,9 @@ the same round's K time; pairing cancels drift that min-of-N can still
 be unlucky about).
 
 A behavioural-identity self-check runs first: the steady traffic
-scenario must produce **byte-identical** report JSON at K=0 (serial),
-K=1 and K=16, and a seeded chaos run must produce the same fault-log
-fingerprint and state digest at K=0 and K=1.  A benchmark of two paths
+scenario must produce **byte-identical** report JSON at K=0 (one
+frame per cycle), K=1 and K=16, and a seeded chaos run must produce the same fault-log
+fingerprint and state digest at K=0 and K=1.  A benchmark of batch windows
 that disagree on bytes would be meaningless, so identity failure fails
 the whole run (exit code 1), exactly like cryptobench's parity gate.
 
@@ -73,8 +74,8 @@ def _ycsb_a_pump(
 ) -> float:
     """Seconds spent in the server pump for ``ops`` YCSB-A operations.
 
-    ``k=0`` runs the serial path; ``k>=1`` the batched pipeline with
-    window K.  Clients are built with ``auto_pump=False`` so request
+    ``k=0`` runs one frame per drain cycle with no modeled enclave
+    entry; ``k>=1`` drains up to K frames per cycle.  Clients are built with ``auto_pump=False`` so request
     staging and reply verification happen outside the timed region;
     each wave stages up to ``wave`` operations per client (within the
     64-slot ring's credit budget), then a single timed
@@ -93,9 +94,7 @@ def _ycsb_a_pump(
     from repro.core.server import PrecursorServer, ServerConfig
     from repro.crypto.keys import KeyGenerator
 
-    server = PrecursorServer(
-        config=ServerConfig(ecall_batch=k) if k else None
-    )
+    server = PrecursorServer(config=ServerConfig(ecall_batch=k))
     sessions = [
         PrecursorClient(
             server,

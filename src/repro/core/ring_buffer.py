@@ -122,14 +122,13 @@ class RingProducer:
         whole batch up front, so the write is all-or-nothing from the
         producer's point of view: :class:`CapacityError` is raised
         *before* any slot is written or any sequence number consumed,
-        which lets a caller that wants serial-style partial delivery
-        (the server's batched reply phase does) fall back to per-frame
-        :meth:`produce` and fail on the same frame the serial path
-        would.
+        which lets a caller that wants per-frame partial delivery (the
+        server's reply phase does) fall back to per-frame
+        :meth:`produce` and fail on the first frame that does not fit.
 
         A batch of zero or one frames falls back to :meth:`produce`, so
         the wire behaviour -- including any fault-injection judgement
-        sequence -- is indistinguishable from the serial path.
+        sequence -- is indistinguishable from a plain write.
         """
         staged = list(frames)
         if len(staged) <= 1:

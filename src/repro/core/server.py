@@ -17,6 +17,15 @@ Architecture (paper Figure 3):
   client's reply ring; request-ring credits are pushed with periodic
   one-sided writes.
 
+Every request takes one path, a *drain cycle* over one client's ring
+(:meth:`PrecursorServer.process_client`): drain up to
+``ServerConfig.ecall_batch`` frames (one when it is 0), parse their
+untrusted framing, open their control segments with one fused GCM call,
+dispatch them in order -- each handler returns its reply -- then seal
+the replies in dispatch order and write them with one gather work
+request.  Only K >= 1 records a modeled enclave entry per cycle
+(``docs/BATCHING.md``).
+
 The enclave exposes exactly three ecalls -- ``init_hashtable``,
 ``start_polling`` and ``add_client`` -- matching the paper's implementation
 (§4), and its trusted allocations are tagged so the EPC working set of
@@ -27,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -45,7 +53,7 @@ from repro.core.protocol import (
 from repro.core.replay import ReplayGuard
 from repro.core.ring_buffer import RingConsumer, RingLayout, RingProducer
 from repro.errors import (
-    AuthenticationError,
+    CapacityError,
     ConfigurationError,
     KeyNotFoundError,
     ProtocolError,
@@ -115,13 +123,20 @@ class ServerConfig:
     #: entry.  The "traditional access control schemes on top" the paper's
     #: per-pair key design enables (§3.3).
     tenant_isolation: bool = False
-    #: Control messages per batched enclave transition.  0 (the default)
-    #: keeps the original serial request path.  K >= 1 routes polling
-    #: through the batched pipeline (:mod:`repro.core.batch`): drain up
-    #: to K frames per cycle, one modeled enclave entry per cycle,
-    #: phase-grouped GCM open/seal across the cycle and one gather reply
-    #: write per cycle.  K=1 is byte-identical to the serial path.
+    #: Drain window of the request path: control messages per batched
+    #: enclave transition.  0 (the default) runs one frame per cycle and
+    #: records no enclave transition per request (the trusted thread
+    #: entered once through ``start_polling``); K >= 1 drains up to K
+    #: frames per cycle and records one modeled batched entry per cycle.
+    #: Replies are byte-identical at every K (``docs/BATCHING.md``).
     ecall_batch: int = 0
+
+    def __post_init__(self) -> None:
+        if self.ecall_batch < 0:
+            raise ConfigurationError(
+                f"ecall_batch must be >= 0 (0 = one frame per cycle), "
+                f"got {self.ecall_batch}"
+            )
 
 
 @dataclass
@@ -174,6 +189,11 @@ class _ClientChannel:
     last_digest: Optional[bytes] = None
     last_reply_control: Optional[ResponseControl] = None
     last_reply_payload: Optional[EncryptedPayload] = None
+
+
+#: One dispatched reply: the control data the cycle seals under the
+#: session key and the untrusted payload that travels beside it.
+_Reply = Tuple[ResponseControl, Optional[EncryptedPayload]]
 
 
 class PrecursorServer:
@@ -286,28 +306,23 @@ class PrecursorServer:
         #: commit, *before* the client's ack is produced, which is what
         #: makes sync/semi-sync acknowledged-write contracts real.
         self.replication_hook: Optional[Callable[[str, bytes], None]] = None
-        #: Service-time seam: when set, called once per handled frame,
-        #: inside the timed region of :meth:`_handle_frame`.  The health
-        #: harness installs a closure here that advances a manual clock
-        #: by a modelled per-shard service latency, which is what makes
-        #: deterministic hot-shard p99 experiments possible.
+        #: Service-time seam: when set, called once per drained frame,
+        #: inside the frame's timed region (:meth:`_account_service`).  The
+        #: health harness installs a closure here that advances a manual
+        #: clock by a modelled per-shard service latency, which is what
+        #: makes deterministic hot-shard p99 experiments possible.
         self.service_hook: Optional[Callable[[], None]] = None
-        #: Reply staging seam for the batched pipeline (exposed as the
-        #: thread-local :attr:`_reply_sink` property): when a cycle
-        #: installs a staging list, :meth:`_send_response` appends
-        #: ``(channel, control, payload)`` instead of sealing and
-        #: writing inline; the pipeline seals the whole cycle in
-        #: dispatch order afterwards.  The duplicate-reply cache still
-        #: updates at staging time, so cache-before-write semantics are
-        #: untouched.
-        self._reply_staging = threading.local()
-        #: The batched polling engine; ``None`` keeps the serial path.
         if cfg.ecall_batch:
-            from repro.core.batch import BatchPipeline
-
-            self._batcher = BatchPipeline(self, cfg.ecall_batch)
-        else:
-            self._batcher = None
+            self._obs_batch_size = registry.histogram(
+                "server_batch_size",
+                "frames carried per batched enclave entry",
+                shard_labels or None,
+            )
+            self._obs_cycles = registry.counter(
+                "server_batch_cycles_total",
+                "drain cycles run by the batched pipeline",
+                shard_labels or None,
+            )
 
     # -- ecall implementations (trusted side) ------------------------------
 
@@ -571,10 +586,10 @@ class PrecursorServer:
     ) -> None:
         """Post one gather WRITE landing several ``(offset, data)`` slices.
 
-        The coalesced-reply transport of the batched pipeline: one WQE,
-        one doorbell, K reply slots.  A single-entry list degenerates to
-        the plain write so the wire behaviour (and the fault-injection
-        judgement sequence) of a batch of one matches the serial path.
+        The coalesced-reply transport of a drain cycle: one WQE, one
+        doorbell, K reply slots.  A single-entry list degenerates to the
+        plain write, so the wire behaviour (and the fault-injection
+        judgement sequence) of a one-reply cycle is that of one write.
         """
         writes = list(writes)
         if len(writes) == 1:
@@ -607,20 +622,23 @@ class PrecursorServer:
         rings (§3.8); :class:`~repro.core.threading.ServerThreadPool`
         partitions clients over threads by calling this.
 
-        With ``config.ecall_batch >= 1`` the batched pipeline
-        (:mod:`repro.core.batch`) services the ring instead, draining it
-        in cycles of K frames per modeled enclave transition.
+        The ring is drained in cycles of up to ``config.ecall_batch``
+        frames (one frame when it is 0) until it is empty or ``batch``
+        frames were handled; then the credit update is pushed, one
+        credit write per call.
         """
-        if self._batcher is not None:
-            return self._batcher.process_client(client_id, batch)
         self._check_alive()
         channel = self._channel(client_id)
         if channel.revoked:
             return 0
+        window = self.config.ecall_batch or 1
         handled = 0
-        for frame in channel.request_consumer.poll(batch):
-            self._handle_frame(channel, frame)
-            handled += 1
+        while handled < batch:
+            frames = channel.request_consumer.poll(min(window, batch - handled))
+            if not frames:
+                break
+            self._run_cycle(channel, frames)
+            handled += len(frames)
         credit = channel.request_consumer.credits_due()
         if credit is not None:
             self._rdma_write(
@@ -636,9 +654,9 @@ class PrecursorServer:
 
         Returns the number of requests handled.  In the real system this
         loop runs forever inside the enclave; in-process callers pump it.
+        Clients are visited in admission order and each is drained
+        before the next.
         """
-        if self._batcher is not None:
-            return self._batcher.process_pending(batch)
         self._check_alive()
         if not self._started:
             raise ConfigurationError("server not started")
@@ -647,60 +665,169 @@ class PrecursorServer:
             handled += self.process_client(client_id, batch)
         return handled
 
-    # -- request handling (trusted side) ------------------------------------
+    # -- one drain cycle (trusted side) ----------------------------------------
 
-    def _handle_frame(self, channel: _ClientChannel, frame: bytes) -> None:
-        clock = self.obs.tracer.clock
-        entered_ns = clock.now_ns()
-        try:
-            self._handle_frame_inner(channel, frame)
-            hook = self.service_hook
-            if hook is not None:
-                hook()
-        finally:
-            self._obs_handle_ns.record(max(0, clock.now_ns() - entered_ns))
+    def _run_cycle(self, channel: _ClientChannel, frames: List[bytes]) -> None:
+        """Parse, open, dispatch, seal and reply for one drained frame set."""
+        if self.config.ecall_batch:
+            self._obs_cycles.inc()
+            self._obs_batch_size.record(len(frames))
+            # One modeled world switch carries the whole cycle.  Recorded
+            # through the accounting object, not Enclave.ecall: the
+            # trusted thread never actually leaves the enclave between
+            # frames (it entered once via start_polling), and dispatch
+            # may re-enter sealing via the replication hook, which the
+            # real ecall gate would reject as nesting.
+            self.enclave.transitions.record_batched_ecall(len(frames))
+        requests = [self._parse_frame(channel, frame) for frame in frames]
+        blobs = self._open_controls(channel, requests)
+        replies, dispatch_ns = self._dispatch(channel, requests, blobs)
+        self._write_replies(channel, replies)
+        self._account_service(dispatch_ns)
 
-    def _handle_frame_inner(self, channel: _ClientChannel, frame: bytes) -> None:
+    def _parse_frame(
+        self, channel: _ClientChannel, frame: bytes
+    ) -> Optional[Request]:
+        """Decode a frame's untrusted framing and apply its reply credit.
+
+        Returns ``None`` for a frame dropped before the enclave opens it.
+        """
         try:
             request = Request.decode(frame)
-        except ProtocolError:
-            self.stats.protocol_errors += 1
-            self._obs_rejects.inc()
-            return
-        if request.client_id != channel.client_id:
-            # A client cannot speak for another: its frames arrive only in
-            # its own ring, so a mismatched id is a protocol violation.
-            self.stats.protocol_errors += 1
-            self._obs_rejects.inc()
-            return
-        try:
-            channel.reply_producer.credit_update(request.reply_credit)
-        except ConfigurationError:
+            if request.client_id != channel.client_id:
+                # A client cannot speak for another: its frames arrive
+                # only in its own ring, so a mismatched id is a protocol
+                # violation.
+                raise ProtocolError("client id does not match its ring")
             # The credit rides outside the sealed segment, so a corrupted
-            # frame can carry an impossible value.  Treat it like any
-            # other malformed field: drop the frame, never crash the
-            # polling loop (the sender's retry re-ships a clean credit).
+            # frame can carry an impossible value (ConfigurationError).
+            # Treat it like any other malformed field: drop the frame,
+            # never crash the polling loop (the sender's retry re-ships
+            # a clean credit).
+            channel.reply_producer.credit_update(request.reply_credit)
+        except (ProtocolError, ConfigurationError):
             self.stats.protocol_errors += 1
             self._obs_rejects.inc()
-            return
+            return None
+        return request
 
+    def _open_controls(
+        self, channel: _ClientChannel, requests: List[Optional[Request]]
+    ) -> List[Optional[bytes]]:
+        """Authenticate every parsed control segment in one fused call.
+
+        Returns the control blob per frame, ``None`` where the frame was
+        dropped.  A frame that fails authentication is dropped silently
+        and alone: the other frames of the cycle proceed.
+        """
+        blobs: List[Optional[bytes]] = [None] * len(requests)
+        live = [i for i, request in enumerate(requests) if request is not None]
+        if not live:
+            return blobs
         session = self._sessions[channel.client_id]
         aad = struct.pack(">I", channel.client_id)
-        try:
-            with self.obs.tracer.stage("server.unseal_control"):
-                control_blob = self.provider.transport_open(
-                    session.key, request.sealed_control, aad=aad
-                )
-        except AuthenticationError:
-            self.stats.auth_failures += 1
-            self._obs_rejects.inc()
-            return  # unauthenticated -> drop silently
-        self._process_control_blob(channel, control_blob, request)
+        with self.obs.tracer.stage("server.unseal_control"):
+            opened = self.provider.transport_open_many(
+                session.key,
+                [(requests[i].sealed_control, aad) for i in live],
+            )
+        for i, blob in zip(live, opened):
+            if blob is None:
+                self.stats.auth_failures += 1
+                self._obs_rejects.inc()
+            blobs[i] = blob
+        return blobs
+
+    def _dispatch(
+        self,
+        channel: _ClientChannel,
+        requests: List[Optional[Request]],
+        blobs: List[Optional[bytes]],
+    ) -> Tuple[List[_Reply], List[int]]:
+        """Dispatch the frames in order; returns the replies and the
+        dispatch time of every drained frame, dropped ones included.
+
+        The duplicate-reply cache is updated per frame right after its
+        dispatch: before any reply bytes can be lost in transit, so a
+        retried request can still recover the genuine ack, and early
+        enough that a retransmission later in the same cycle sees it.
+        REPLAY rejections are never cached: a replayed frame must not
+        overwrite the genuine reply it duplicates.
+        """
+        clock = self.obs.tracer.clock
+        replies: List[_Reply] = []
+        dispatch_ns: List[int] = []
+        for request, blob in zip(requests, blobs):
+            entered_ns = clock.now_ns()
+            if blob is not None:
+                reply = self._process_control_blob(channel, blob, request)
+                if reply is not None:
+                    control, payload = reply
+                    if control.status is not Status.REPLAY:
+                        channel.last_oid = control.oid
+                        channel.last_reply_control = control
+                        channel.last_reply_payload = payload
+                    replies.append(reply)
+            dispatch_ns.append(max(0, clock.now_ns() - entered_ns))
+        return replies, dispatch_ns
+
+    def _write_replies(
+        self, channel: _ClientChannel, replies: List[_Reply]
+    ) -> None:
+        """Seal replies in dispatch order and write them in one gather WR.
+
+        Session IVs are drawn in dispatch order, so every reply slot gets
+        the same bytes whatever the cycle size; only the transport is
+        coalesced (a single reply is a plain write).  ``produce_many`` is
+        all-or-nothing and raises before writing anything, so when the
+        reply ring lacks the credits the replies are written one by one:
+        the leading ones that fit are delivered and the
+        :class:`CapacityError` surfaces on the first that does not.
+        """
+        if not replies:
+            return
+        session = self._sessions[channel.client_id]
+        aad = b"resp" + struct.pack(">I", channel.client_id)
+        with self.obs.tracer.stage("server.seal_reply"):
+            sealed = self.provider.transport_seal_many(
+                session, [(control.encode(), aad) for control, _ in replies]
+            )
+        encoded = [
+            Response(sealed_control=blob, payload=payload).encode()
+            for (_control, payload), blob in zip(replies, sealed)
+        ]
+        with self.obs.tracer.stage("server.reply_write"):
+            try:
+                channel.reply_producer.produce_many(encoded)
+            except CapacityError:
+                for frame in encoded:
+                    channel.reply_producer.produce(frame)
+
+    def _account_service(self, dispatch_ns: List[int]) -> None:
+        """Run the service hook and record ``server_handle_ns`` per frame.
+
+        A frame's sample is its dispatch time plus its hook call.  The
+        hooks run after the cycle's reply write, so a hook that advances
+        a modelled clock (the health harness's service latency) charges
+        that time after the replies went out: reply writes and their
+        fault judgements are stamped when dispatch finished.
+        """
+        clock = self.obs.tracer.clock
+        hook = self.service_hook
+        for spent_ns in dispatch_ns:
+            entered_ns = clock.now_ns()
+            if hook is not None:
+                hook()
+            self._obs_handle_ns.record(
+                spent_ns + max(0, clock.now_ns() - entered_ns)
+            )
+
+    # -- request handling (trusted side) ------------------------------------
 
     def _process_control_blob(
         self, channel: _ClientChannel, control_blob: bytes, request: Request
-    ) -> None:
-        """Dispatch an authenticated control segment (scheme-specific).
+    ) -> Optional[_Reply]:
+        """Dispatch an authenticated control segment; returns its reply.
 
         The server-encryption variant overrides this: there the sealed blob
         carries the whole payload, not just control data.
@@ -710,7 +837,7 @@ class PrecursorServer:
         except ProtocolError:
             self.stats.protocol_errors += 1
             self._obs_rejects.inc()
-            return
+            return None
 
         digest = self._request_digest(control_blob, request.payload)
         try:
@@ -733,17 +860,8 @@ class PrecursorServer:
                     shard=self.shard_name or self.HOST_NAME,
                     oid=control.oid,
                 )
-                self._send_response(
-                    channel,
-                    channel.last_reply_control,
-                    channel.last_reply_payload,
-                )
-            else:
-                self._send_response(
-                    channel,
-                    ResponseControl(status=Status.REPLAY, oid=control.oid),
-                )
-            return
+                return channel.last_reply_control, channel.last_reply_payload
+            return ResponseControl(status=Status.REPLAY, oid=control.oid), None
         channel.last_digest = digest
         self.obs.hop(
             "server",
@@ -756,25 +874,23 @@ class PrecursorServer:
         if counter is not None:
             counter.inc()
         if control.opcode is OpCode.PUT:
-            self._handle_put(channel, control, request.payload)
-        elif control.opcode is OpCode.GET:
-            self._handle_get(channel, control)
-        elif control.opcode is OpCode.DELETE:
-            self._handle_delete(channel, control)
+            return self._handle_put(channel, control, request.payload)
+        if control.opcode is OpCode.GET:
+            return self._handle_get(channel, control)
+        if control.opcode is OpCode.DELETE:
+            return self._handle_delete(channel, control)
+        return None
 
     def _handle_put(
         self,
         channel: _ClientChannel,
         control: ControlData,
         payload: Optional[EncryptedPayload],
-    ) -> None:
+    ) -> _Reply:
         self.stats.puts += 1
         if payload is None or control.k_operation is None:
             self.stats.protocol_errors += 1
-            self._send_response(
-                channel, ResponseControl(status=Status.ERROR, oid=control.oid)
-            )
-            return
+            return ResponseControl(status=Status.ERROR, oid=control.oid), None
         cfg = self.config
         inline = (
             cfg.inline_small_values
@@ -822,10 +938,7 @@ class PrecursorServer:
                 self.enclave.allocator.free(len(inline_payload), "inline_values")
             else:
                 self.payload_store.release(ptr)
-            self._send_response(
-                channel, ResponseControl(status=Status.ERROR, oid=control.oid)
-            )
-            return
+            return ResponseControl(status=Status.ERROR, oid=control.oid), None
         if old is not None:
             if old.ptr is not None:
                 self.payload_store.release(old.ptr)
@@ -834,9 +947,7 @@ class PrecursorServer:
                     len(old.inline_payload), "inline_values"
                 )
         self._notify_replication("put", control.key)
-        self._send_response(
-            channel, ResponseControl(status=Status.OK, oid=control.oid)
-        )
+        return ResponseControl(status=Status.OK, oid=control.oid), None
 
     def _notify_replication(self, op: str, key: bytes) -> None:
         # Outside every table lock: a group hook re-enters this server
@@ -864,7 +975,7 @@ class PrecursorServer:
             return True
         return client_id in self._grants.get(bytes(key), ())
 
-    def _handle_get(self, channel: _ClientChannel, control: ControlData) -> None:
+    def _handle_get(self, channel: _ClientChannel, control: ControlData) -> _Reply:
         self.stats.gets += 1
         with self.obs.tracer.stage("server.table_lookup"), \
                 self._table_lock.read():
@@ -892,25 +1003,21 @@ class PrecursorServer:
                     blob = self.payload_store.load(entry.ptr)
         if entry is None:
             self.stats.misses += 1
-            self._send_response(
-                channel,
-                ResponseControl(status=Status.NOT_FOUND, oid=control.oid),
-            )
-            return
+            return ResponseControl(status=Status.NOT_FOUND, oid=control.oid), None
         self.stats.hits += 1
-        payload = EncryptedPayload(ciphertext=blob[:-16], mac=blob[-16:])
-        self._send_response(
-            channel,
+        return (
             ResponseControl(
                 status=Status.OK,
                 oid=control.oid,
                 k_operation=entry.k_operation,
                 mac=entry.mac if self.config.strict_integrity else None,
             ),
-            payload=payload,
+            EncryptedPayload(ciphertext=blob[:-16], mac=blob[-16:]),
         )
 
-    def _handle_delete(self, channel: _ClientChannel, control: ControlData) -> None:
+    def _handle_delete(
+        self, channel: _ClientChannel, control: ControlData
+    ) -> _Reply:
         self.stats.deletes += 1
         with self.obs.tracer.stage("server.table_update"), \
                 self._table_lock.write():
@@ -940,9 +1047,7 @@ class PrecursorServer:
                 )
             status = Status.OK
             self._notify_replication("delete", control.key)
-        self._send_response(
-            channel, ResponseControl(status=status, oid=control.oid)
-        )
+        return ResponseControl(status=status, oid=control.oid), None
 
     @staticmethod
     def _request_digest(
@@ -960,66 +1065,6 @@ class PrecursorServer:
             h.update(payload.ciphertext)
             h.update(payload.mac)
         return h.digest()
-
-    @property
-    def _reply_sink(self) -> Optional[list]:
-        """The *calling thread's* reply staging list (or ``None``).
-
-        Thread-local on purpose: :class:`~repro.core.threading.ServerThreadPool`
-        runs :meth:`process_client` from several trusted threads at
-        once, and with batching enabled each worker stages the replies
-        of its own drain cycle.  A process-wide attribute would let one
-        thread's cycle capture (and, via its ``finally`` clause, then
-        discard) replies another thread's dispatch was staging, sealing
-        them under the wrong session and writing them into the wrong
-        reply ring.  Per-thread sinks keep every cycle's staging
-        private; per-channel state stays single-owner because the pool
-        partitions clients over threads.
-        """
-        return getattr(self._reply_staging, "sink", None)
-
-    @_reply_sink.setter
-    def _reply_sink(self, sink: Optional[list]) -> None:
-        self._reply_staging.sink = sink
-
-    def _send_response(
-        self,
-        channel: _ClientChannel,
-        control: ResponseControl,
-        payload: Optional[EncryptedPayload] = None,
-    ) -> None:
-        sink = self._reply_sink
-        if sink is not None:
-            # Batched pipeline: stage the reply for the cycle's seal
-            # phase.  The duplicate-reply cache updates here -- the same
-            # logical point the serial path updates it (before any reply
-            # bytes can be lost in transit), and early enough that a
-            # retransmission arriving later in the *same* cycle sees it.
-            if control.status is not Status.REPLAY:
-                channel.last_oid = control.oid
-                channel.last_reply_control = control
-                channel.last_reply_payload = payload
-            sink.append((channel, control, payload))
-            return
-        session = self._sessions[channel.client_id]
-        aad = b"resp" + struct.pack(">I", channel.client_id)
-        with self.obs.tracer.stage("server.seal_reply"):
-            sealed = self.provider.transport_seal(
-                session, control.encode(), aad=aad
-            )
-            response = Response(sealed_control=sealed, payload=payload)
-        if control.status is not Status.REPLAY:
-            # Cache the reply for the duplicate filter BEFORE attempting
-            # the reply write: if the write itself is lost to a transport
-            # fault, the retried request can still recover the genuine
-            # ack from the cache.  (REPLAY rejections are themselves never
-            # cached: a replayed frame must not overwrite the genuine
-            # reply it duplicates.)
-            channel.last_oid = control.oid
-            channel.last_reply_control = control
-            channel.last_reply_payload = payload
-        with self.obs.tracer.stage("server.reply_write"):
-            channel.reply_producer.produce(response.encode())
 
     # -- trusted memory accounting -----------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.client import PrecursorClient
 from repro.core.protocol import OpCode, Request, Status
@@ -182,38 +182,40 @@ class PrecursorServerEncryption(PrecursorServer):
 
     def _process_control_blob(
         self, channel: _ClientChannel, control_blob: bytes, request: Request
-    ) -> None:
+    ) -> Optional[Tuple[_SEResponse, None]]:
         if request.payload is not None:
+            # The whole value rides in the sealed segment: an untrusted
+            # payload half is a protocol violation.
             self.stats.protocol_errors += 1
-            return
+            self._obs_rejects.inc()
+            return None
         try:
             control = _SEControl.decode(control_blob)
         except ProtocolError:
             self.stats.protocol_errors += 1
-            return
+            self._obs_rejects.inc()
+            return None
         try:
             self._replay.check_and_advance(channel.client_id, control.oid)
         except ReplayError:
             self.stats.replay_rejections += 1
-            self._send_se_response(
-                channel, _SEResponse(status=Status.REPLAY, oid=control.oid)
-            )
-            return
+            self._obs_rejects.inc()
+            return _SEResponse(status=Status.REPLAY, oid=control.oid), None
         if control.opcode is OpCode.PUT:
-            self._se_put(channel, control)
-        elif control.opcode is OpCode.GET:
-            self._se_get(channel, control)
-        elif control.opcode is OpCode.DELETE:
-            self._se_delete(channel, control)
+            return self._se_put(channel, control), None
+        if control.opcode is OpCode.GET:
+            return self._se_get(control), None
+        if control.opcode is OpCode.DELETE:
+            return self._se_delete(control), None
+        return None
 
-    def _se_put(self, channel: _ClientChannel, control: _SEControl) -> None:
+    def _se_put(
+        self, channel: _ClientChannel, control: _SEControl
+    ) -> _SEResponse:
         self.stats.puts += 1
         if control.value is None:
             self.stats.protocol_errors += 1
-            self._send_se_response(
-                channel, _SEResponse(status=Status.ERROR, oid=control.oid)
-            )
-            return
+            return _SEResponse(status=Status.ERROR, oid=control.oid)
         # Re-encryption inside the enclave: the step Figure 1 prices.
         iv = self._next_storage_iv()
         sealed_value = self._master.seal(iv, control.value)
@@ -232,11 +234,9 @@ class PrecursorServerEncryption(PrecursorServer):
             self._charge_table_growth()
         if old is not None:
             self.payload_store.release(old.ptr)
-        self._send_se_response(
-            channel, _SEResponse(status=Status.OK, oid=control.oid)
-        )
+        return _SEResponse(status=Status.OK, oid=control.oid)
 
-    def _se_get(self, channel: _ClientChannel, control: _SEControl) -> None:
+    def _se_get(self, control: _SEControl) -> _SEResponse:
         self.stats.gets += 1
         with self._table_lock.read():
             entry = None
@@ -251,27 +251,18 @@ class PrecursorServerEncryption(PrecursorServer):
                 sealed_value = self.payload_store.load(entry.ptr)
         if entry is None:
             self.stats.misses += 1
-            self._send_se_response(
-                channel, _SEResponse(status=Status.NOT_FOUND, oid=control.oid)
-            )
-            return
+            return _SEResponse(status=Status.NOT_FOUND, oid=control.oid)
         self.stats.hits += 1
         try:
             value = self._master.open(entry.iv, sealed_value)
         except GcmFailure:
             # Untrusted memory corrupted: detected *server-side* here (in
             # client-encryption Precursor the client detects it instead).
-            self._send_se_response(
-                channel, _SEResponse(status=Status.ERROR, oid=control.oid)
-            )
-            return
+            return _SEResponse(status=Status.ERROR, oid=control.oid)
         self.enclave_crypto_bytes += len(value)
-        self._send_se_response(
-            channel,
-            _SEResponse(status=Status.OK, oid=control.oid, value=value),
-        )
+        return _SEResponse(status=Status.OK, oid=control.oid, value=value)
 
-    def _se_delete(self, channel: _ClientChannel, control: _SEControl) -> None:
+    def _se_delete(self, control: _SEControl) -> _SEResponse:
         self.stats.deletes += 1
         with self._table_lock.write():
             entry = None
@@ -282,25 +273,9 @@ class PrecursorServerEncryption(PrecursorServer):
                     entry = None
         if entry is None:
             self.stats.misses += 1
-            status = Status.NOT_FOUND
-        else:
-            self.payload_store.release(entry.ptr)
-            status = Status.OK
-        self._send_se_response(
-            channel, _SEResponse(status=status, oid=control.oid)
-        )
-
-    def _send_se_response(
-        self, channel: _ClientChannel, body: _SEResponse
-    ) -> None:
-        session = self._sessions[channel.client_id]
-        aad = b"resp" + struct.pack(">I", channel.client_id)
-        sealed = self.provider.transport_seal(session, body.encode(), aad=aad)
-        from repro.core.protocol import Response
-
-        channel.reply_producer.produce(
-            Response(sealed_control=sealed, payload=None).encode()
-        )
+            return _SEResponse(status=Status.NOT_FOUND, oid=control.oid)
+        self.payload_store.release(entry.ptr)
+        return _SEResponse(status=Status.OK, oid=control.oid)
 
 
 class ServerEncryptionClient(PrecursorClient):

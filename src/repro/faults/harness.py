@@ -255,9 +255,7 @@ class _ChaosRun:
         self.uncertain: set = set()
         self.down: Dict[str, int] = {}  # shard name -> restore-at op index
 
-        server_config = (
-            ServerConfig(ecall_batch=ecall_batch) if ecall_batch else None
-        )
+        server_config = ServerConfig(ecall_batch=ecall_batch)
         if shards is None:
             self.cluster = None
             self.cache_clock = None

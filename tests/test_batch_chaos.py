@@ -141,7 +141,7 @@ class TestPoisonedFrameIsolation:
         # The unauthenticatable frame is dropped silently; batch-mates
         # drained ahead of it complete normally, and frames behind it
         # hit the strictly-monotonic replay filter -- the same shape,
-        # reply for reply, as the serial path (the retry engine's
+        # reply for reply, as at K=0 (the retry engine's
         # reconnect/resync recovers from there; the chaos runs above
         # prove that end to end).
         oids, rounds, stats = self._corrupted_run(k=8)
@@ -162,10 +162,10 @@ class TestPoisonedFrameIsolation:
     def test_garbage_slot_isolated_like_serial(self):
         # A frame whose *header* is trashed (rogue length) stops that
         # poll; the consumer skips the slot defensively on the next
-        # poll.  The reply stream is identical on both paths -- the
-        # batched drain merely recovers within the same pump (its next
-        # drain cycle re-polls), where the serial path waits for the
-        # next process_pending call.
+        # poll.  The reply stream is identical at both windows -- the
+        # 8-frame drain merely recovers within the same pump (its next
+        # drain cycle re-polls), where K=0 (one frame per cycle) waits
+        # for the next process_pending call.
         per_path = {}
         for k in (0, 8):
             server, (client,) = self._pair(k=k)
@@ -191,8 +191,8 @@ class TestPoisonedFrameIsolation:
         ]
         assert [r for rs in serial_rounds for r in rs] == expected
         assert [r for rs in per_path[8][1] for r in rs] == expected
-        # Granularity difference, byte-identical content: serial defers
-        # the post-garbage frames to the second pump, the batched drain
+        # Granularity difference, byte-identical content: K=0 defers
+        # the post-garbage frames to the second pump, the 8-frame drain
         # reaches them in its second cycle of the first pump.
         assert serial_rounds[0] == expected[:1]
         assert per_path[8][1][0] == expected

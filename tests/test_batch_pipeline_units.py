@@ -1,8 +1,9 @@
 """Unit tests for the seams the batched pipeline is built from.
 
 The end-to-end equivalence suite (test_batch_equivalence.py) proves the
-assembled pipeline matches the serial path; these tests pin each layer
-in isolation so a regression points at the seam that broke:
+assembled request path matches the digests pinned from the original
+serial loop; these tests pin each layer in isolation so a regression
+points at the seam that broke:
 
 * transition accounting: one batched ecall = one world switch carrying
   K messages, and the amortization math exposed to the reports;
@@ -12,6 +13,9 @@ in isolation so a regression points at the seam that broke:
   byte-identical to their serial twins (same IV draw order) and a
   tampered entry fails alone;
 * both GCM engines: batch seal/open parity and edge cases;
+* the request path under real polling threads, at K=0 and K=4;
+* the reply phase's per-frame fallback when the reply ring is short of
+  credits;
 * the thread pool's adaptive idle backoff.
 """
 
@@ -400,41 +404,14 @@ class TestBatchedServerObservability:
         assert counter.value == 24
 
 
-class TestReplySinkThreadLocal:
-    def test_sink_is_private_to_each_thread(self):
-        """The staging seam must never leak across trusted threads: a
-        cycle on thread B installing its sink while thread A is
-        mid-dispatch would capture A's replies (wrong session, wrong
-        ring) and then discard A's remaining staged entries."""
-        server = PrecursorServer()
-        mine = []
-        server._reply_sink = mine
-        seen = {}
-
-        def probe():
-            seen["inherited"] = server._reply_sink
-            theirs = []
-            server._reply_sink = theirs
-            seen["own"] = server._reply_sink is theirs
-
-        worker = threading.Thread(target=probe)
-        worker.start()
-        worker.join(timeout=5)
-        assert seen["inherited"] is None
-        assert seen["own"] is True
-        # The other thread's assignments never touched this thread's sink.
-        assert server._reply_sink is mine
-        server._reply_sink = None
-        assert server._reply_sink is None
-
-
 class TestBatchedThreadedServer:
-    def test_concurrent_clients_with_batching(self):
-        """Batching composed with real polling threads: every client's
-        data lands and verifies, with no cross-thread reply corruption
-        (wrong-key seals would surface as client MAC failures) and no
-        silently dead workers."""
-        server = PrecursorServer(config=ServerConfig(ecall_batch=4))
+    @pytest.mark.parametrize("ecall_batch", [0, 4])
+    def test_concurrent_clients_with_batching(self, ecall_batch):
+        """The request path composed with real polling threads: every
+        client's data lands and verifies, with no cross-thread reply
+        corruption (wrong-key seals would surface as client MAC
+        failures) and no silently dead workers."""
+        server = PrecursorServer(config=ServerConfig(ecall_batch=ecall_batch))
         pool = ServerThreadPool(server, threads=3)
         clients = [
             PrecursorClient(
@@ -473,57 +450,6 @@ class TestBatchedThreadedServer:
         assert server.stats.replay_rejections == 0
 
 
-class TestReplyPhaseChannelGrouping:
-    def test_entries_sealed_with_their_own_channel_session(self):
-        """The seal phase is keyed off each staged entry's channel, not
-        the cycle argument: an entry staged for another client must be
-        sealed under that client's session and land in that client's
-        reply ring."""
-        from repro.core.protocol import Response, ResponseControl, Status
-
-        server = PrecursorServer(config=ServerConfig(ecall_batch=4))
-        clients = {
-            cid: PrecursorClient(
-                server,
-                client_id=cid,
-                keygen=KeyGenerator(cid),
-                auto_pump=False,
-                response_timeout_s=0.0,
-            )
-            for cid in (11, 22)
-        }
-        channel_a = server._channels[11]
-        channel_b = server._channels[22]
-        staged = [
-            (channel_a, ResponseControl(status=Status.OK, oid=1), None),
-            (channel_b, ResponseControl(status=Status.OK, oid=2), None),
-            (channel_a, ResponseControl(status=Status.NOT_FOUND, oid=3), None),
-        ]
-        # Cycle channel is A; the B entry must still seal/route as B's.
-        server._batcher._reply_phase(channel_a, staged)
-
-        def drain(client):
-            controls = []
-            while True:
-                frame = client._reply_consumer.poll_one()
-                if frame is None:
-                    return controls
-                response = Response.decode(frame)
-                aad = b"resp" + struct.pack(">I", client.client_id)
-                blob = client.provider.transport_open(
-                    client.session.key, response.sealed_control, aad=aad
-                )
-                controls.append(ResponseControl.decode(blob))
-
-        got_a = drain(clients[11])
-        got_b = drain(clients[22])
-        assert [(c.status, c.oid) for c in got_a] == [
-            (Status.OK, 1),
-            (Status.NOT_FOUND, 3),
-        ]
-        assert [(c.status, c.oid) for c in got_b] == [(Status.OK, 2)]
-
-
 class TestReplyCapacityFallback:
     def test_partial_delivery_matches_serial_divergence(self):
         """When a cycle's replies exceed the reply ring's free credits,
@@ -548,12 +474,12 @@ class TestReplyCapacityFallback:
         # Burn all but two reply credits without the client consuming.
         channel.reply_producer.produce(b"x")
         channel.reply_producer.produce(b"y")
-        staged = [
-            (channel, ResponseControl(status=Status.OK, oid=oid), None)
+        replies = [
+            (ResponseControl(status=Status.OK, oid=oid), None)
             for oid in (1, 2, 3)
         ]
         with pytest.raises(CapacityError):
-            server._batcher._reply_phase(channel, staged)
+            server._write_replies(channel, replies)
         frames = [client._reply_consumer.poll_one() for _ in range(4)]
         assert frames[:2] == [b"x", b"y"]
         oids = []

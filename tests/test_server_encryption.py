@@ -1,5 +1,7 @@
 """The server-encryption variant: functionality and cost asymmetry."""
 
+import struct
+
 import pytest
 
 from repro.core import (
@@ -7,6 +9,9 @@ from repro.core import (
     ServerEncryptionClient,
     make_pair,
 )
+from repro.core.protocol import OpCode, Request
+from repro.core.server_encryption import _SEControl
+from repro.crypto.provider import EncryptedPayload
 from repro.errors import KeyNotFoundError, PrecursorError, ReplayError
 
 
@@ -107,6 +112,47 @@ class TestSecurity:
         with pytest.raises(ReplayError):
             client.put(b"k", b"v2")
         assert server.stats.replay_rejections == 1
+
+    def test_dispatch_rejects_are_counted(self, se_pair):
+        """A replay, a payload-bearing frame and undecodable control data
+        each bump the rejected-requests counter, not only ``stats``."""
+        server, client = se_pair
+        rejects = server.obs.registry.get("server_rejected_requests_total")
+        client.put(b"k", b"v")
+        assert rejects.value == 0
+
+        client._oid -= 1
+        with pytest.raises(ReplayError):
+            client.put(b"k", b"v2")
+        assert rejects.value == 1
+
+        aad = struct.pack(">I", client.client_id)
+
+        def submit(control_bytes, payload=None):
+            sealed = client.provider.transport_seal(
+                client.session, control_bytes, aad=aad
+            )
+            client._submit(
+                Request(
+                    client_id=client.client_id,
+                    sealed_control=sealed,
+                    payload=payload,
+                    reply_credit=client._reply_consumer.consumed,
+                )
+            )
+            server.process_pending()
+
+        submit(b"\x01")  # too short to be an SE control segment
+        submit(
+            _SEControl(opcode=OpCode.GET, oid=client._oid + 1, key=b"k").encode(),
+            payload=EncryptedPayload(ciphertext=b"x", mac=b"\x00" * 16),
+        )
+        assert rejects.value == 3
+        assert server.stats.protocol_errors == 2
+        assert server.stats.replay_rejections == 1
+        # Dropped frames get no reply; the session still works.
+        assert client._reply_consumer.poll_one() is None
+        assert client.get(b"k") == b"v"
 
     def test_distinct_storage_ivs(self, se_pair):
         server, client = se_pair

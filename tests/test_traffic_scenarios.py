@@ -194,8 +194,17 @@ class TestBatchingDeterminism:
         assert _dumps(first) == _dumps(second)
 
     def test_negative_batch_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # One check, in ServerConfig, guards every entry point.
+        from repro.core.server import ServerConfig
+        from repro.faults.harness import run_chaos
+
+        with pytest.raises(ConfigurationError, match="ecall_batch must be >= 0"):
             run_scenario("steady", ecall_batch=-1)
+        with pytest.raises(ConfigurationError, match="ecall_batch must be >= 0"):
+            ServerConfig(ecall_batch=-1)
+        with pytest.raises(ConfigurationError, match="ecall_batch must be >= 0"):
+            run_chaos(7, "drop:0.05", ops=8, ecall_batch=-2)
+        assert ServerConfig(ecall_batch=0).ecall_batch == 0
 
 
 class TestKneeFinder:

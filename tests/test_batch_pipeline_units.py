@@ -405,12 +405,20 @@ class TestBatchedServerObservability:
 
 
 class TestBatchedThreadedServer:
-    @pytest.mark.parametrize("ecall_batch", [0, 4])
-    def test_concurrent_clients_with_batching(self, ecall_batch):
+    def test_concurrent_clients_with_batching(self):
         """The request path composed with real polling threads: every
         client's data lands and verifies, with no cross-thread reply
         corruption (wrong-key seals would surface as client MAC
         failures) and no silently dead workers."""
+        self._run_concurrent_clients(ecall_batch=4)
+
+    def test_concurrent_clients_one_frame_per_cycle(self):
+        """The same threaded workload at ecall_batch=0, where every cycle
+        carries a single frame."""
+        self._run_concurrent_clients(ecall_batch=0)
+
+    @staticmethod
+    def _run_concurrent_clients(ecall_batch):
         server = PrecursorServer(config=ServerConfig(ecall_batch=ecall_batch))
         pool = ServerThreadPool(server, threads=3)
         clients = [

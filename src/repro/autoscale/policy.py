@@ -39,7 +39,7 @@ bad ``--policy`` flag fails fast with exit code 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Dict, List, Optional, Tuple
 

@@ -90,7 +90,7 @@ def _ycsb_a_pump(
     import random
 
     from repro.core.client import PrecursorClient
-    from repro.core.protocol import OpCode, Request
+    from repro.core.protocol import OpCode
     from repro.core.server import PrecursorServer, ServerConfig
     from repro.crypto.keys import KeyGenerator
 
@@ -115,24 +115,18 @@ def _ycsb_a_pump(
             op_key = client.keygen.operation_key()
             payload = client.provider.payload_encrypt(op_key, value)
             control = client._next_control(OpCode.PUT, key, op_key)
-            req = client._seal_control(control)
-            req = Request(
-                client_id=req.client_id,
-                sealed_control=req.sealed_control,
-                payload=payload,
-                reply_credit=req.reply_credit,
-            )
         else:
+            payload = None
             control = client._next_control(OpCode.GET, key)
-            req = client._seal_control(control)
-        client._submit(req)
-        return control.oid
+        (request,) = client._seal([control], [payload])
+        client._submit(request)
+        return control
 
     for i in range(records):
         client = sessions[i % clients]
-        oid = stage(client, OpCode.PUT, b"key-%05d" % i)
+        control = stage(client, OpCode.PUT, b"key-%05d" % i)
         server.process_pending()
-        client._open_response(client._await_response(), oid)
+        client._collect([control])
 
     rng = random.Random(seed)
     keys = [
@@ -143,7 +137,7 @@ def _ycsb_a_pump(
     pump_s = 0.0
     i = 0
     while i < ops:
-        staged: List[Tuple[object, List[int]]] = [(c, []) for c in sessions]
+        staged: List[Tuple[object, list]] = [(c, []) for c in sessions]
         for _ in range(wave * clients):
             if i >= ops:
                 break
@@ -155,9 +149,8 @@ def _ycsb_a_pump(
         t0 = time.perf_counter()
         server.process_pending()
         pump_s += time.perf_counter() - t0
-        for client, oids in staged:
-            for oid in oids:
-                client._open_response(client._await_response(), oid)
+        for client, controls in staged:
+            client._collect(controls)
     return pump_s
 
 

@@ -9,13 +9,13 @@ the benchmark harness runs the full versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.bench.calibration import Calibration
 from repro.bench.costs import SystemCosts
 from repro.bench.report import Series, format_table
-from repro.bench.simulation import SimulationConfig, SimulationResult, simulate
+from repro.bench.simulation import SimulationConfig, simulate
 from repro.core.protocol import OpCode
 from repro.obs import ManualClock, Tracer, stage_breakdown
 from repro.sim.stats import CdfPoint, ns_to_us
@@ -24,7 +24,6 @@ from repro.ycsb.workload import (
     WORKLOAD_A,
     WORKLOAD_B,
     WORKLOAD_C,
-    WorkloadSpec,
 )
 
 __all__ = [

@@ -16,7 +16,7 @@ with the same calibrated models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.bench.calibration import Calibration
 from repro.bench.report import Series, format_table

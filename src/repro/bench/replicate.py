@@ -29,11 +29,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench.calibration import Calibration
 from repro.bench.costs import SystemCosts
-from repro.bench.faulttail import RECONNECT_NS, REATTEST_NS, TIMEOUT_NS
+from repro.bench.faulttail import (
+    RECONNECT_NS,
+    REATTEST_NS,
+    TIMEOUT_NS,
+    _percentile,
+)
 from repro.bench.report import Series, format_table
 from repro.core.protocol import OpCode
 from repro.replica import ACK_MODES
@@ -180,11 +185,6 @@ class ReplicationResult:
             "bandwidth.\nverdict: "
             + verdict
         )
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
 
 
 def run_replication(

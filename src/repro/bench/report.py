@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "format_table",

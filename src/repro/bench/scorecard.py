@@ -12,7 +12,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 from repro.bench import experiments as exp
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.bench.calibration import Calibration
 from repro.bench.costs import SystemCosts

@@ -12,10 +12,19 @@ The transport is one-sided RDMA in both directions: requests are WRITTEN
 into the server's per-client ring; replies appear in a client-local reply
 ring the server WRITEs into; request-ring credits arrive in a one-sided
 credit word.
+
+Every request takes one path.  A window of control segments is sealed in
+one transport batch (``_seal``) and submitted (``_send``); its replies are
+read, opened in one transport batch and checked (``_collect``).  A single
+``put``/``get``/``delete`` is the one-item window, wrapped in the retry
+engine (``_exchange``); ``put_many``/``get_many`` submit windows of up to
+half the ring depth.  ``get`` and ``get_many`` turn a reply into a payload
+with the same step (``_fetched_payload``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import struct
 import time
@@ -31,7 +40,7 @@ from repro.core.protocol import (
 )
 from repro.core.ring_buffer import RingConsumer, RingProducer
 from repro.core.server import PrecursorServer
-from repro.crypto.keys import KeyGenerator, SessionKey
+from repro.crypto.keys import KeyGenerator
 from repro.crypto.provider import CryptoProvider, EncryptedPayload
 from repro.errors import (
     AccessError,
@@ -119,6 +128,9 @@ class PrecursorClient:
         for micro-benchmarks that cannot afford the few clock reads per
         operation.
     """
+
+    #: Decoder of a reply's sealed control segment.
+    _reply_codec = ResponseControl
 
     def __init__(
         self,
@@ -364,55 +376,103 @@ class PrecursorClient:
             )
         return Response.decode(frame)
 
-    def _open_control(self, response: Response) -> ResponseControl:
-        """Authenticate and decode a reply's sealed control segment."""
-        aad = b"resp" + struct.pack(">I", self.client_id)
-        blob = self.provider.transport_open(
-            self.session.key, response.sealed_control, aad=aad
-        )
-        return ResponseControl.decode(blob)
+    # -- the request path: seal, submit, collect, check ------------------------
 
-    def _open_response(
-        self, response: Response, expected_oid: Optional[int] = None
-    ) -> ResponseControl:
-        control = self._open_control(response)
-        if expected_oid is None:
-            expected_oid = self._oid
-        if control.oid != expected_oid:
-            raise ProtocolError(
-                f"response oid {control.oid} does not match request "
-                f"{expected_oid}"
-            )
-        if control.status is Status.REPLAY:
-            raise ReplayError(f"server rejected oid {self._oid} as a replay")
-        return control
+    def _seal(self, controls, payloads=None) -> list:
+        """Seal control segments in one transport batch; returns requests.
 
-    def _collect_reply(
-        self, expected_oid: int
-    ) -> "tuple[Response, ResponseControl]":
-        """Await the reply for ``expected_oid``.
-
-        In retry mode, replies for *earlier* oids may still be queued --
-        the cached ack a duplicate triggered, or the late reply of an
-        operation that was already resolved by a retry.  Those are
-        skipped; a reply from the *future* is still a protocol violation.
+        ``payloads`` pairs an untrusted payload half (or None) with each
+        control.  IVs come off the session counter in submission order,
+        and no reply is consumed while requests are sealed, so every frame
+        is byte-identical to sealing each request on its own.
         """
-        while True:
-            response = self._await_response()
-            with self.obs.tracer.stage("client.open_response"):
-                control = self._open_control(response)
-            if control.oid < expected_oid and self.max_retries > 0:
-                continue
-            if control.oid != expected_oid:
+        aad = struct.pack(">I", self.client_id)
+        sealed = self.provider.transport_seal_many(
+            self.session, [(control.encode(), aad) for control in controls]
+        )
+        if payloads is None:
+            payloads = [None] * len(controls)
+        credit = self._reply_consumer.consumed
+        return [
+            Request(
+                client_id=self.client_id,
+                sealed_control=message,
+                payload=payload,
+                reply_credit=credit,
+            )
+            for message, payload in zip(sealed, payloads)
+        ]
+
+    def _send(self, controls, payloads=None) -> None:
+        """Seal and submit a window of requests (a single op is one item)."""
+        with self.obs.tracer.stage("client.seal_request"):
+            requests = self._seal(controls, payloads)
+        with self.obs.tracer.stage("client.rdma_write"):
+            for request in requests:
+                self._submit(request)
+
+    def _open(self, responses) -> list:
+        """Open and decode replies' sealed control segments in one batch.
+
+        Returns the decoded reply per response, or None where the GCM tag
+        did not verify.
+        """
+        aad = b"resp" + struct.pack(">I", self.client_id)
+        with self.obs.tracer.stage("client.open_response"):
+            blobs = self.provider.transport_open_many(
+                self.session.key,
+                [(response.sealed_control, aad) for response in responses],
+            )
+            decode = self._reply_codec.decode
+            return [None if blob is None else decode(blob) for blob in blobs]
+
+    def _collect(self, controls) -> list:
+        """Consume the replies of a submitted window, then check them.
+
+        Replies are read off the ring and opened in one transport batch
+        *before* anything is checked, so a failure anywhere in the window
+        raises with nothing of the window left queued behind it -- the
+        next operation on this client reads its own reply.
+
+        In retry mode (``max_retries > 0``) a reply for an oid *earlier*
+        than the request it would answer is skipped, and one more reply is
+        read in its place: it is the cached ack a duplicated frame
+        triggered, or the late reply of an operation a retry already
+        resolved.  Checks then run in request order: a reply that failed
+        authentication raises :class:`AuthenticationError`, any other oid
+        mismatch :class:`ProtocolError`, and a ``REPLAY`` status
+        :class:`ReplayError`.  Returns ``(response, reply)`` pairs.
+        """
+        skip_stale = self.max_retries > 0
+        collected = []
+        while len(collected) < len(controls):
+            responses = [
+                self._await_response()
+                for _ in range(len(controls) - len(collected))
+            ]
+            for response, reply in zip(responses, self._open(responses)):
+                if (
+                    skip_stale
+                    and reply is not None
+                    and reply.oid < controls[len(collected)].oid
+                ):
+                    continue
+                collected.append((response, reply))
+        for control, (_response, reply) in zip(controls, collected):
+            if reply is None:
+                raise AuthenticationError(
+                    f"reply to oid {control.oid} failed authentication"
+                )
+            if reply.oid != control.oid:
                 raise ProtocolError(
-                    f"response oid {control.oid} does not match request "
-                    f"{expected_oid}"
+                    f"response oid {reply.oid} does not match request "
+                    f"{control.oid}"
                 )
-            if control.status is Status.REPLAY:
+            if reply.status is Status.REPLAY:
                 raise ReplayError(
-                    f"server rejected oid {expected_oid} as a replay"
+                    f"server rejected oid {control.oid} as a replay"
                 )
-            return response, control
+        return collected
 
     # -- retry engine ----------------------------------------------------------
 
@@ -436,7 +496,7 @@ class PrecursorClient:
             "retries_total", "client operation retries", {"op": op}
         ).inc()
 
-    def _resync_after_failure(self, control: ControlData) -> None:
+    def _resync_after_failure(self, control) -> None:
         """Re-align the local oid counter after an operation failed for good.
 
         ``_next_control`` consumed an oid the server may never have seen;
@@ -453,12 +513,12 @@ class PrecursorClient:
         if expected <= control.oid and self._oid == control.oid:
             self._oid = expected - 1
 
-    def _exchange(self, control: ControlData, payload=None, op: str = "op"):
-        """Submit one sealed request and collect its reply, with retries.
+    def _exchange(self, control, payload=None, op: str = "op"):
+        """Run one request as a one-item window, with retries.
 
-        Returns ``(response, response_control)`` -- or the :data:`_APPLIED`
-        sentinel when a retry learned from the replay filter that the
-        original attempt was applied but its reply is unrecoverable.
+        Returns ``(response, reply)`` -- or the :data:`_APPLIED` sentinel
+        when a retry learned from the replay filter that the original
+        attempt was applied but its reply is unrecoverable.
 
         The retry loop is replay-safe by construction: every attempt
         re-seals the *same* control data (same oid, same one-time key) and
@@ -471,18 +531,9 @@ class PrecursorClient:
         attempt = 0
         while True:
             try:
-                with self.obs.tracer.stage("client.seal_request"):
-                    request = self._seal_control(control)
-                    if payload is not None:
-                        request = Request(
-                            client_id=request.client_id,
-                            sealed_control=request.sealed_control,
-                            payload=payload,
-                            reply_credit=request.reply_credit,
-                        )
-                with self.obs.tracer.stage("client.rdma_write"):
-                    self._submit(request)
-                return self._collect_reply(control.oid)
+                self._send([control], [payload])
+                (reply,) = self._collect([control])
+                return reply
             except (
                 AccessError,
                 OperationTimeoutError,
@@ -512,12 +563,7 @@ class PrecursorClient:
                 # requests were applied (sealed checkpoints cannot roll it
                 # back).  Re-key this attempt at the expected oid so the
                 # two sides resume in lockstep.
-                control = ControlData(
-                    opcode=control.opcode,
-                    oid=expected,
-                    key=control.key,
-                    k_operation=control.k_operation,
-                )
+                control = dataclasses.replace(control, oid=expected)
                 self._oid = expected
 
     def _next_control(
@@ -528,16 +574,61 @@ class PrecursorClient:
             opcode=opcode, oid=self._oid, key=key, k_operation=k_operation
         )
 
-    def _seal_control(self, control: ControlData) -> Request:
-        aad = struct.pack(">I", self.client_id)
-        sealed = self.provider.transport_seal(
-            self.session, control.encode(), aad=aad
-        )
-        return Request(
-            client_id=self.client_id,
-            sealed_control=sealed,
-            reply_credit=self._reply_consumer.consumed,
-        )
+    def _get_reply(self, key: bytes):
+        """Exchange one GET for ``key``; returns ``(response, reply)``.
+
+        When a retry finds the original attempt consumed server-side but
+        its reply unrecoverable, the GET -- which has no side effects --
+        is simply re-issued under a fresh oid.
+        """
+        fresh_issues = 0
+        while True:
+            control = self._next_control(OpCode.GET, key)
+            self.operations += 1
+            result = self._exchange(control, op="get")
+            if result is not _APPLIED:
+                return result
+            if fresh_issues >= max(1, self.max_retries):
+                raise OperationTimeoutError(
+                    f"get {key!r}: reply unrecoverable after "
+                    f"{fresh_issues} fresh re-issues"
+                )
+            fresh_issues += 1
+            self._count_retry("get")
+
+    # -- reply handling ----------------------------------------------------------
+
+    @staticmethod
+    def _check_put(reply) -> None:
+        if reply.status is not Status.OK:
+            raise PrecursorError(
+                f"put failed at oid {reply.oid}: {reply.status.name}"
+            )
+
+    @staticmethod
+    def _check_delete(key: bytes, reply) -> None:
+        if reply.status is Status.NOT_FOUND:
+            raise KeyNotFoundError(key)
+        if reply.status is not Status.OK:
+            raise PrecursorError(f"delete failed: {reply.status.name}")
+
+    @staticmethod
+    def _fetched_payload(key: bytes, response: Response, reply) -> tuple:
+        """The ``(k_operation, payload)`` a GET reply hands the client."""
+        if reply.status is Status.NOT_FOUND:
+            raise KeyNotFoundError(key)
+        if reply.status is not Status.OK:
+            raise PrecursorError(f"get failed: {reply.status.name}")
+        if response.payload is None or reply.k_operation is None:
+            raise ProtocolError("GET response missing payload or key material")
+        payload = response.payload
+        if reply.mac is not None:
+            # Strict-integrity mode (§3.9): the MAC bound inside the sealed
+            # channel overrides whatever sits in untrusted memory.
+            payload = EncryptedPayload(
+                ciphertext=payload.ciphertext, mac=reply.mac
+            )
+        return reply.k_operation, payload
 
     # -- tracing ---------------------------------------------------------------
 
@@ -577,11 +668,7 @@ class PrecursorClient:
             self.operations += 1
             result = self._exchange(control, payload=payload, op="put")
             if result is not _APPLIED:
-                _response, control_resp = result
-                if control_resp.status is not Status.OK:
-                    raise PrecursorError(
-                        f"put failed: {control_resp.status.name}"
-                    )
+                self._check_put(result[1])
         except BaseException as exc:
             if trace is not None:
                 trace.finish(exc)
@@ -601,45 +688,12 @@ class PrecursorClient:
         self._check_key(key)
         trace = self._start_trace("get")
         try:
-            fresh_issues = 0
-            while True:
-                control = self._next_control(OpCode.GET, key)
-                self.operations += 1
-                result = self._exchange(control, op="get")
-                if result is _APPLIED:
-                    # The earlier attempt was consumed server-side but its
-                    # reply is unrecoverable.  GET has no side effects:
-                    # simply re-issue it under a fresh oid.
-                    if fresh_issues >= max(1, self.max_retries):
-                        raise OperationTimeoutError(
-                            f"get {key!r}: reply unrecoverable after "
-                            f"{fresh_issues} fresh re-issues"
-                        )
-                    fresh_issues += 1
-                    self._count_retry("get")
-                    continue
-                response, control_resp = result
-                break
-            if control_resp.status is Status.NOT_FOUND:
-                raise KeyNotFoundError(key)
-            if control_resp.status is not Status.OK:
-                raise PrecursorError(f"get failed: {control_resp.status.name}")
-            if response.payload is None or control_resp.k_operation is None:
-                raise ProtocolError(
-                    "GET response missing payload or key material"
-                )
-            payload = response.payload
-            if control_resp.mac is not None:
-                # Strict-integrity mode (§3.9): the MAC bound inside the
-                # sealed channel overrides whatever sits in untrusted memory.
-                payload = EncryptedPayload(
-                    ciphertext=payload.ciphertext, mac=control_resp.mac
-                )
+            k_operation, payload = self._fetched_payload(
+                key, *self._get_reply(key)
+            )
             try:
                 with self.obs.tracer.stage("client.verify_decrypt"):
-                    value = self.provider.payload_decrypt(
-                        control_resp.k_operation, payload
-                    )
+                    value = self.provider.payload_decrypt(k_operation, payload)
             except IntegrityError:
                 self.integrity_failures += 1
                 raise
@@ -662,16 +716,10 @@ class PrecursorClient:
             control = self._next_control(OpCode.DELETE, key)
             self.operations += 1
             result = self._exchange(control, op="delete")
-            if result is not _APPLIED:
-                _response, control_resp = result
-                if control_resp.status is Status.NOT_FOUND:
-                    raise KeyNotFoundError(key)
-                if control_resp.status is not Status.OK:
-                    raise PrecursorError(
-                        f"delete failed: {control_resp.status.name}"
-                    )
             # _APPLIED: the delete was consumed server-side and only the
             # ack was lost -- the key is gone either way, report success.
+            if result is not _APPLIED:
+                self._check_delete(key, result[1])
         except BaseException as exc:
             if trace is not None:
                 trace.finish(exc)
@@ -689,64 +737,6 @@ class PrecursorClient:
         are still unconsumed.
         """
         return max(1, self._layout.slot_count // 2)
-
-    def _seal_window(self, controls, payloads=None) -> list:
-        """Seal a window's control segments in one transport batch.
-
-        IVs come off the session counter in submission order, and no
-        reply is consumed while a window is submitted, so every frame is
-        byte-identical to sealing each request on its own.
-        """
-        aad = struct.pack(">I", self.client_id)
-        sealed = self.provider.transport_seal_many(
-            self.session, [(control.encode(), aad) for control in controls]
-        )
-        if payloads is None:
-            payloads = [None] * len(controls)
-        credit = self._reply_consumer.consumed
-        return [
-            Request(
-                client_id=self.client_id,
-                sealed_control=message,
-                payload=payload,
-                reply_credit=credit,
-            )
-            for message, payload in zip(sealed, payloads)
-        ]
-
-    def _collect_window(self, controls) -> list:
-        """Consume every reply of a submitted window, then check them.
-
-        All replies are read off the ring and opened in one transport
-        batch *before* anything is checked, so a failure anywhere in the
-        window raises with nothing left queued behind it -- the next
-        operation on this client reads its own reply.  Checks run in
-        request order; returns ``(response, control)`` pairs.
-        """
-        responses = [self._await_response() for _ in controls]
-        aad = b"resp" + struct.pack(">I", self.client_id)
-        blobs = self.provider.transport_open_many(
-            self.session.key,
-            [(response.sealed_control, aad) for response in responses],
-        )
-        replies = []
-        for control, response, blob in zip(controls, responses, blobs):
-            if blob is None:
-                raise AuthenticationError(
-                    f"reply to oid {control.oid} failed authentication"
-                )
-            reply = ResponseControl.decode(blob)
-            if reply.oid != control.oid:
-                raise ProtocolError(
-                    f"response oid {reply.oid} does not match request "
-                    f"{control.oid}"
-                )
-            if reply.status is Status.REPLAY:
-                raise ReplayError(
-                    f"server rejected oid {control.oid} as a replay"
-                )
-            replies.append((response, reply))
-        return replies
 
     def put_many(self, items) -> int:
         """Pipeline several puts: submit a window of frames, then collect.
@@ -774,18 +764,11 @@ class PrecursorClient:
                 self._next_control(OpCode.PUT, key, k_op)
                 for k_op, (key, _value) in zip(k_operations, chunk)
             ]
-            for request in self._seal_window(controls, payloads):
-                self._submit(request)
+            self._send(controls, payloads)
             self.operations += len(controls)
-            for control, (_response, reply) in zip(
-                controls, self._collect_window(controls)
-            ):
-                if reply.status is not Status.OK:
-                    raise PrecursorError(
-                        f"batched put failed at oid {control.oid}: "
-                        f"{reply.status.name}"
-                    )
-                stored += 1
+            for _response, reply in self._collect(controls):
+                self._check_put(reply)
+            stored += len(controls)
         return stored
 
     def get_many(self, keys) -> list:
@@ -807,29 +790,14 @@ class PrecursorClient:
             for key in chunk:
                 self._check_key(key)
             controls = [self._next_control(OpCode.GET, key) for key in chunk]
-            for request in self._seal_window(controls):
-                self._submit(request)
+            self._send(controls)
             self.operations += len(controls)
-            fetched = []
-            for key, (response, reply) in zip(
-                chunk, self._collect_window(controls)
-            ):
-                if reply.status is Status.NOT_FOUND:
-                    raise KeyNotFoundError(key)
-                if reply.status is not Status.OK:
-                    raise PrecursorError(
-                        f"batched get failed: {reply.status.name}"
-                    )
-                if response.payload is None or reply.k_operation is None:
-                    raise ProtocolError(
-                        "GET response missing payload or key material"
-                    )
-                payload = response.payload
-                if reply.mac is not None:
-                    payload = EncryptedPayload(
-                        ciphertext=payload.ciphertext, mac=reply.mac
-                    )
-                fetched.append((reply.k_operation, payload))
+            fetched = [
+                self._fetched_payload(key, response, reply)
+                for key, (response, reply) in zip(
+                    chunk, self._collect(controls)
+                )
+            ]
             plains = self.provider.payload_decrypt_many(fetched)
             failed = [key for key, plain in zip(chunk, plains) if plain is None]
             if failed:

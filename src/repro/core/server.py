@@ -39,7 +39,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.crypto.provider import CryptoProvider, EncryptedPayload, SealedMessage
+from repro.crypto.provider import CryptoProvider, EncryptedPayload
 from repro.crypto.keys import KeyGenerator, SessionKey
 from repro.core.payload_store import PayloadPointer, PayloadStore
 from repro.core.protocol import (

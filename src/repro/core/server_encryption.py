@@ -17,6 +17,13 @@ half.  The enclave decrypts it (payload crosses the boundary), re-encrypts
 the value under a server master key that never leaves the enclave, and
 stores the sealed blob in the untrusted pool.  On GET the enclave loads,
 decrypts with the master key, and re-seals under the client's session key.
+
+:class:`ServerEncryptionClient` keeps only the scheme's codec and its
+put/get/delete bodies; sealing, submission, reply collection and checks,
+and the retry engine are :class:`~repro.core.client.PrecursorClient`'s one
+request path.  The scheme has no pipelined window: ``put_many`` and
+``get_many`` raise :class:`~repro.errors.ProtocolError` before consuming
+an oid.
 """
 
 from __future__ import annotations
@@ -25,12 +32,11 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.client import PrecursorClient
+from repro.core.client import _APPLIED, PrecursorClient
 from repro.core.protocol import OpCode, Request, Status
 from repro.core.server import PrecursorServer, ServerConfig, _ClientChannel
 from repro.crypto.gcm import GcmFailure
 from repro.crypto.keys import KeyGenerator
-from repro.crypto.provider import SealedMessage
 from repro.errors import (
     KeyNotFoundError,
     PrecursorError,
@@ -283,54 +289,31 @@ class ServerEncryptionClient(PrecursorClient):
 
     No one-time keys, no client-side payload crypto: the value rides inside
     the transport-sealed blob and the server is trusted (via its enclave)
-    to verify and re-encrypt it.
+    to verify and re-encrypt it.  Requests take the parent class's request
+    path and retry engine; ``put_many``/``get_many`` are refused.
     """
 
-    def _submit_se(self, control: _SEControl) -> None:
-        aad = struct.pack(">I", self.client_id)
-        sealed = self.provider.transport_seal(
-            self.session, control.encode(), aad=aad
-        )
-        request = Request(
-            client_id=self.client_id,
-            sealed_control=sealed,
-            reply_credit=self._reply_consumer.consumed,
-        )
-        self._submit(request)
-        self.operations += 1
+    _reply_codec = _SEResponse
 
-    def _open_se_response(self) -> _SEResponse:
-        response = self._await_response()
-        aad = b"resp" + struct.pack(">I", self.client_id)
-        blob = self.provider.transport_open(
-            self.session.key, response.sealed_control, aad=aad
-        )
-        body = _SEResponse.decode(blob)
-        if body.oid != self._oid:
-            raise ProtocolError(
-                f"response oid {body.oid} does not match request {self._oid}"
-            )
-        if body.status is Status.REPLAY:
-            raise ReplayError(f"server rejected oid {self._oid} as a replay")
-        return body
+    def _next_control(
+        self, opcode: OpCode, key: bytes, value: Optional[bytes] = None
+    ) -> _SEControl:
+        self._oid += 1
+        return _SEControl(opcode=opcode, oid=self._oid, key=key, value=value)
 
     def put(self, key: bytes, value: bytes) -> None:
         """Store ``value``; the server performs all payload cryptography."""
         self._check_key(key)
-        self._oid += 1
-        self._submit_se(
-            _SEControl(opcode=OpCode.PUT, oid=self._oid, key=key, value=value)
-        )
-        body = self._open_se_response()
-        if body.status is not Status.OK:
-            raise PrecursorError(f"put failed: {body.status.name}")
+        control = self._next_control(OpCode.PUT, key, value)
+        self.operations += 1
+        result = self._exchange(control, op="put")
+        if result is not _APPLIED:
+            self._check_put(result[1])
 
     def get(self, key: bytes) -> bytes:
         """Fetch ``key``; the value arrives transport-sealed, not raw."""
         self._check_key(key)
-        self._oid += 1
-        self._submit_se(_SEControl(opcode=OpCode.GET, oid=self._oid, key=key))
-        body = self._open_se_response()
+        _response, body = self._get_reply(key)
         if body.status is Status.NOT_FOUND:
             raise KeyNotFoundError(key)
         if body.status is not Status.OK or body.value is None:
@@ -340,12 +323,20 @@ class ServerEncryptionClient(PrecursorClient):
     def delete(self, key: bytes) -> None:
         """Remove ``key``."""
         self._check_key(key)
-        self._oid += 1
-        self._submit_se(
-            _SEControl(opcode=OpCode.DELETE, oid=self._oid, key=key)
+        control = self._next_control(OpCode.DELETE, key)
+        self.operations += 1
+        result = self._exchange(control, op="delete")
+        if result is not _APPLIED:
+            self._check_delete(key, result[1])
+
+    def put_many(self, items) -> int:
+        """Refused: the server-encryption scheme has no pipelined window."""
+        raise ProtocolError(
+            "the server-encryption client has no put_many; issue single puts"
         )
-        body = self._open_se_response()
-        if body.status is Status.NOT_FOUND:
-            raise KeyNotFoundError(key)
-        if body.status is not Status.OK:
-            raise PrecursorError(f"delete failed: {body.status.name}")
+
+    def get_many(self, keys) -> list:
+        """Refused: the server-encryption scheme has no pipelined window."""
+        raise ProtocolError(
+            "the server-encryption client has no get_many; issue single gets"
+        )

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.crypto.keys import KeyGenerator  # noqa: F401  (re-export surface)
 from repro.errors import ConfigurationError
 from repro.faults.engine import FaultEngine
 from repro.faults.schedule import FaultSchedule

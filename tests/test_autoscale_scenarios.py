@@ -2,9 +2,6 @@
 
 import json
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.obs.exporters import lint_prometheus
 from repro.traffic.scenarios import run_scenario
 

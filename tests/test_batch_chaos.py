@@ -95,7 +95,8 @@ class TestPoisonedFrameIsolation:
 
     def _stage_get(self, client, key):
         control = client._next_control(OpCode.GET, key)
-        client._submit(client._seal_control(control))
+        (request,) = client._seal([control])
+        client._submit(request)
         return control.oid
 
     def _drain_rounds(self, server, client, pumps=3):
@@ -108,7 +109,7 @@ class TestPoisonedFrameIsolation:
                 frame = client._reply_consumer.poll_one()
                 if frame is None:
                     break
-                reply = client._open_control(Response.decode(frame))
+                (reply,) = client._open([Response.decode(frame)])
                 got.append((reply.oid, reply.status))
             rounds.append(got)
         return rounds

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.core.client import PrecursorClient
-from repro.core.protocol import OpCode, Request, Response, Status
+from repro.core.protocol import OpCode, Response, Status
 from repro.core.server import PrecursorServer, ServerConfig
 from repro.crypto.keys import KeyGenerator
 
@@ -79,14 +79,7 @@ def _resubmit(client, control, payload):
     verbatim old frame would be dropped at the credit-monotonicity gate
     before ever reaching the replay logic.
     """
-    request = client._seal_control(control)
-    if payload is not None:
-        request = Request(
-            client_id=request.client_id,
-            sealed_control=request.sealed_control,
-            payload=payload,
-            reply_credit=request.reply_credit,
-        )
+    (request,) = client._seal([control], [payload])
     client._submit(request)
 
 
@@ -172,13 +165,14 @@ def _run_sequence(k, seed, ops=180, clients=3, wave=10, keyspace=24):
         key = b"k%04d" % j
         client = sessions[j % clients]
         control = client._next_control(OpCode.GET, key)
-        client._submit(client._seal_control(control))
+        (request,) = client._seal([control])
+        client._submit(request)
         server.process_pending()
         frame = client._reply_consumer.poll_one()
         assert frame is not None
         frames[j % clients].append(frame)
         response = Response.decode(frame)
-        reply = client._open_control(response)
+        (reply,) = client._open([response])
         assert reply.oid == control.oid
         if reply.status is Status.OK:
             store[key] = client.provider.payload_decrypt(

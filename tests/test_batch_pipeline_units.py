@@ -373,7 +373,8 @@ class TestBatchedServerObservability:
         staged = []
         for i in range(ops):
             control = client._next_control(OpCode.GET, b"key-%d" % i)
-            client._submit(client._seal_control(control))
+            (request,) = client._seal([control])
+            client._submit(request)
             staged.append(control.oid)
         server.process_pending()
         drained = 0

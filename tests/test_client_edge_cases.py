@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import PrecursorClient, PrecursorServer, ServerConfig, make_pair
 from repro.core.protocol import ControlData, OpCode
-from repro.errors import PrecursorError, ProtocolError
+from repro.errors import ProtocolError
 
 
 class TestResponseValidation:
@@ -16,19 +16,17 @@ class TestResponseValidation:
         client.put(b"k", b"v")
         # Submit a get but do not consume the reply; then desync by
         # submitting another and reading the first reply against it.
-        client._submit(client._seal_control(
-            ControlData(opcode=OpCode.GET, oid=client._oid + 1, key=b"k")
-        ))
-        client._oid += 1
-        server.process_pending()
-        client._submit(client._seal_control(
-            ControlData(opcode=OpCode.GET, oid=client._oid + 1, key=b"k")
-        ))
-        client._oid += 1
-        server.process_pending()
-        response = client._await_response()  # reply to the FIRST get
+        for _ in range(2):
+            control = ControlData(
+                opcode=OpCode.GET, oid=client._oid + 1, key=b"k"
+            )
+            (request,) = client._seal([control])
+            client._submit(request)
+            client._oid += 1
+            server.process_pending()
+        # Collect against the SECOND get: the first reply is read first.
         with pytest.raises(ProtocolError, match="oid"):
-            client._open_response(response)
+            client._collect([control])
 
     def test_operations_counter(self, pair):
         _, client = pair

@@ -1,7 +1,5 @@
 """Untrusted-pool compaction: garbage reclamation with pointer rewrite."""
 
-import pytest
-
 from repro.core import ServerConfig, make_pair
 from repro.core.threading import ServerThreadPool
 from repro.core import PrecursorClient, PrecursorServer

@@ -7,8 +7,6 @@ by ``make gates`` (``python -m repro.cli all --quick``) instead.
 
 import json
 
-import pytest
-
 from repro.bench import cryptobench
 from repro.bench.cryptobench import (
     CryptoBenchResult,

@@ -9,7 +9,6 @@ codec in the system.
 
 import struct
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -15,6 +15,7 @@ from repro.core.persistence import CheckpointManager
 from repro.errors import (
     OperationTimeoutError,
     PrecursorError,
+    ProtocolError,
     ReplayError,
 )
 from repro.faults import FaultEngine, FaultSchedule, run_chaos
@@ -77,6 +78,39 @@ class TestDuplicateNeverDoubleApplies:
         assert server.stats.puts == 2
 
 
+class TestWindowAfterDuplicate:
+    """The stale-reply skip covers windows as it covers single ops.
+
+    A duplicated put leaves the cached ack the server re-sent queued in
+    the reply ring; the next operation reads it first.
+    """
+
+    def _duplicate_one_put(self, max_retries):
+        server, client = _pair(max_retries=max_retries)
+        client.submit_fault_hook = lambda frame: True
+        client.put(b"k", b"v")
+        client.submit_fault_hook = None
+        return server, client
+
+    def test_get_many_skips_the_resent_ack(self):
+        server, client = self._duplicate_one_put(max_retries=2)
+        assert client.get_many([b"k"]) == [b"v"]
+        assert server.stats.duplicate_replies == 1
+
+    def test_put_many_skips_the_resent_ack(self):
+        server, client = self._duplicate_one_put(max_retries=2)
+        assert client.put_many([(b"a", b"1"), (b"b", b"2")]) == 2
+        assert client.get_many([b"a", b"b", b"k"]) == [b"1", b"2", b"v"]
+        assert server.stats.puts == 3
+
+    def test_without_retries_the_window_fails_fast(self):
+        _server, client = self._duplicate_one_put(max_retries=0)
+        with pytest.raises(
+            ProtocolError, match="oid 1 does not match request 2"
+        ):
+            client.get_many([b"k"])
+
+
 class TestLostAckRecovery:
     """The reply is lost; the retry must harvest the cached ack."""
 
@@ -135,10 +169,10 @@ class TestAppliedSentinel:
     def _lose_reply_and_cache(self, server, client, op):
         """Simulate: attempt 0 applied, but both the reply and the
         server's cached ack are gone (e.g. crash after apply)."""
-        original = client._collect_reply
+        original = client._collect
         state = {"first": True}
 
-        def collect(expected_oid):
+        def collect(controls):
             if state["first"]:
                 state["first"] = False
                 channel = server._channel(client.client_id)
@@ -147,15 +181,15 @@ class TestAppliedSentinel:
                 channel.last_reply_control = None
                 channel.last_reply_payload = None
                 raise OperationTimeoutError("simulated lost reply")
-            return original(expected_oid)
+            return original(controls)
 
-        client._collect_reply = collect
+        client._collect = collect
 
     def test_put_reports_success_when_applied_but_ack_gone(self):
         server, client = _pair(max_retries=3)
         self._lose_reply_and_cache(server, client, "put")
         client.put(b"k", b"v")  # must NOT raise: the put took effect
-        client._collect_reply = client.__class__._collect_reply.__get__(client)
+        client._collect = client.__class__._collect.__get__(client)
         assert client.get(b"k") == b"v"
         assert server.stats.puts == 1  # never double-applied
 
@@ -164,7 +198,7 @@ class TestAppliedSentinel:
         client.put(b"k", b"v")
         self._lose_reply_and_cache(server, client, "delete")
         client.delete(b"k")
-        client._collect_reply = client.__class__._collect_reply.__get__(client)
+        client._collect = client.__class__._collect.__get__(client)
         from repro.errors import KeyNotFoundError
 
         with pytest.raises(KeyNotFoundError):
@@ -175,7 +209,7 @@ class TestAppliedSentinel:
         client.put(b"k", b"v")
         self._lose_reply_and_cache(server, client, "get")
         assert client.get(b"k") == b"v"  # re-issued, idempotent
-        client._collect_reply = client.__class__._collect_reply.__get__(client)
+        client._collect = client.__class__._collect.__get__(client)
 
     def test_first_attempt_replay_still_raises(self):
         # REPLAY on attempt 0 is a real protocol violation (stale client),

@@ -329,7 +329,8 @@ class TestServerQueueDepth:
         assert server.queue_depth() == 0
         for i in range(5):
             control = client._next_control(OpCode.GET, b"k%d" % i)
-            client._submit(client._seal_control(control))
+            (request,) = client._seal([control])
+            client._submit(request)
         assert server.queue_depth() == 5
         assert server.queue_depth() == 5  # probe is non-destructive
         server.process_pending()

@@ -16,7 +16,6 @@ from repro.errors import (
     AttestationError,
     IntegrityError,
     ProtocolError,
-    ReplayError,
 )
 
 
@@ -151,13 +150,11 @@ class TestNetworkAttacks:
         client.put(b"k", b"v")
         # Intercept: craft a get whose reply we corrupt before the client
         # reads it.
-        control = client._next_control
-        client._oid += 0  # no-op; use low-level flow
         from repro.core.protocol import ControlData, OpCode
 
-        client._submit(client._seal_control(
-            ControlData(opcode=OpCode.GET, oid=client._oid + 1, key=b"k")
-        ))
+        control = ControlData(opcode=OpCode.GET, oid=client._oid + 1, key=b"k")
+        (request,) = client._seal([control])
+        client._submit(request)
         client._oid += 1
         server.process_pending()
         # Corrupt the reply in the client's reply ring (attacker with the
@@ -172,8 +169,7 @@ class TestNetworkAttacks:
         from repro.errors import AuthenticationError, PrecursorError
 
         with pytest.raises((AuthenticationError, ProtocolError, PrecursorError)):
-            response = client._await_response()
-            client._open_response(response)
+            client._collect([control])
 
 
 class TestStrictIntegrityMode:

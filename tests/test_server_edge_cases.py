@@ -52,7 +52,7 @@ class TestMalformedRequests:
             k_operation=b"o" * 32,
         )
         client._oid += 1
-        request = client._seal_control(control)  # payload=None
+        (request,) = client._seal([control])  # payload=None
         client._submit(request)
         server.process_pending()
         response = client._await_response()

@@ -12,7 +12,12 @@ from repro.core import (
 from repro.core.protocol import OpCode, Request
 from repro.core.server_encryption import _SEControl
 from repro.crypto.provider import EncryptedPayload
-from repro.errors import KeyNotFoundError, PrecursorError, ReplayError
+from repro.errors import (
+    KeyNotFoundError,
+    PrecursorError,
+    ProtocolError,
+    ReplayError,
+)
 
 
 class TestBasicOperations:
@@ -161,6 +166,22 @@ class TestSecurity:
         iv_a = server._table.get(b"a").iv
         iv_b = server._table.get(b"b").iv
         assert iv_a != iv_b
+
+
+class TestNoWindows:
+    """The SE scheme has no pipelined window; the calls are refused."""
+
+    def test_window_calls_raise_and_the_session_stays_usable(self, se_pair):
+        server, client = se_pair
+        client.put(b"k", b"v")
+        with pytest.raises(ProtocolError, match="put_many"):
+            client.put_many([(b"a", b"1")])
+        with pytest.raises(ProtocolError, match="get_many"):
+            client.get_many([b"k"])
+        client.put(b"k2", b"v2")
+        assert client.get(b"k") == b"v"
+        assert client.get(b"k2") == b"v2"
+        assert server.stats.replay_rejections == 0
 
 
 class TestFactory:

@@ -143,7 +143,7 @@ class TestRequestControlTamper:
         server, client = _pair()
         client.put(b"k", b"a-stored-value--")
         control = client._next_control(opcode, b"k")
-        request = client._seal_control(control)
+        (request,) = client._seal([control])
         request = Request(
             client_id=request.client_id,
             sealed_control=_tamper_sealed(request.sealed_control, region),
@@ -162,7 +162,7 @@ class TestRequestControlTamper:
         server, client = _pair()
         client.put(b"k", b"a-stored-value--")
         control = client._next_control(OpCode.GET, b"k")
-        request = client._seal_control(control)
+        (request,) = client._seal([control])
         request = Request(
             client_id=request.client_id + 1,  # claim to be someone else
             sealed_control=request.sealed_control,
